@@ -590,8 +590,8 @@ func fingerprintOf(spec Spec) (runcache.Key, error) {
 }
 
 // runCachedSpec is runSpec behind the cache: bypass impure specs, serve
-// hits (spot-checking when armed), store successful invariant-clean
-// outcomes on misses.
+// hits (spot-checking when armed), run concurrent misses on one
+// fingerprint once, and store successful invariant-clean outcomes.
 func runCachedSpec(spec Spec, arena *machineArena, o BatchOptions, shardCap int) (*Outcome, error) {
 	if o.NoCache {
 		return runSpec(spec, arena, shardCap)
@@ -607,20 +607,63 @@ func runCachedSpec(spec Spec, arena *machineArena, o BatchOptions, shardCap int)
 		// produce the authoritative error.
 		return runSpec(spec, arena, shardCap)
 	}
-	if e, ok := c.Get(key); ok {
-		if every := fleetVerifyEvery.Load(); every > 0 {
-			if n := fleetHitSeq.Add(1); (n-1)%uint64(every) == 0 {
-				fresh, ferr := runSpec(spec, arena, shardCap)
-				if ferr != nil {
-					return fresh, fmt.Errorf("runcache verify: live re-run failed: %w", ferr)
-				}
-				if !e.Equal(entryOf(fresh)) {
-					return fresh, fmt.Errorf("runcache verify: cached outcome for %s under %s diverges from a live re-run (stale or corrupted cache dir?)", spec.App, spec.Scheme)
-				}
-				fleetVerified.Add(1)
-			}
+	e, ok := c.Get(key)
+	if !ok {
+		var out *Outcome
+		if e, out, err = runMiss(c, key, spec, arena, shardCap); e == nil {
+			return out, err
 		}
-		return outcomeFromEntry(spec, e), nil
+	}
+	if every := fleetVerifyEvery.Load(); every > 0 {
+		if n := fleetHitSeq.Add(1); (n-1)%uint64(every) == 0 {
+			fresh, ferr := runSpec(spec, arena, shardCap)
+			if ferr != nil {
+				return fresh, fmt.Errorf("runcache verify: live re-run failed: %w", ferr)
+			}
+			if !e.Equal(entryOf(fresh)) {
+				return fresh, fmt.Errorf("runcache verify: cached outcome for %s under %s diverges from a live re-run (stale or corrupted cache dir?)", spec.App, spec.Scheme)
+			}
+			fleetVerified.Add(1)
+		}
+	}
+	return outcomeFromEntry(spec, e), nil
+}
+
+// Cache misses in flight, by fingerprint: the channel closes when the
+// leading run has finished and stored whatever it will store.
+var (
+	flightsMu sync.Mutex
+	flights   = make(map[runcache.Key]chan struct{})
+)
+
+// runMiss handles a cache miss on key. The first miss on a fingerprint
+// leads: it runs the spec and stores a successful, invariant-clean
+// outcome. A concurrent miss on the same fingerprint waits for the
+// leader and is then served the stored entry as a hit; when the leader
+// stored nothing (an error or a failed check), it runs the spec itself.
+// A non-nil entry means the miss was served from the cache.
+func runMiss(c *runcache.Cache, key runcache.Key, spec Spec, arena *machineArena, shardCap int) (*runcache.Entry, *Outcome, error) {
+	flightsMu.Lock()
+	f, follow := flights[key]
+	if !follow {
+		f = make(chan struct{})
+		flights[key] = f
+	}
+	flightsMu.Unlock()
+	if follow {
+		<-f
+	} else {
+		defer func() {
+			flightsMu.Lock()
+			delete(flights, key)
+			flightsMu.Unlock()
+			close(f)
+		}()
+	}
+	// For a leader, this catches a flight that landed between its miss
+	// and its join.
+	if e, ok := c.Coalesced(key); ok {
+		return e, nil, nil
 	}
 	out, err := runSpec(spec, arena, shardCap)
 	if err == nil && out.CheckErr == nil {
@@ -628,7 +671,7 @@ func runCachedSpec(spec Spec, arena *machineArena, o BatchOptions, shardCap int)
 		// entry still serves from memory, so the error is dropped.
 		_ = c.Put(key, entryOf(out))
 	}
-	return out, err
+	return nil, out, err
 }
 
 // entryOf extracts the cacheable portion of a successful outcome.

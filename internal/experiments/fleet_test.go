@@ -5,6 +5,8 @@ import (
 	"os"
 	"reflect"
 	"testing"
+
+	"suvtm/internal/htm"
 )
 
 // fleetSpec is a small, fast run the cache tests reuse.
@@ -261,6 +263,53 @@ func TestFleetMatchesCold(t *testing.T) {
 	}
 	if s.ArenaReuses == 0 {
 		t.Error("arenas were never reused")
+	}
+}
+
+// TestFleetCoalescesConcurrentMisses: identical specs dispatched to
+// workers at once run once. The first miss leads; the rest wait for it
+// and are served from the cache, each counted as a hit and not a miss.
+func TestFleetCoalescesConcurrentMisses(t *testing.T) {
+	resetFleetForTest(t)
+	specs := make([]Spec, 8)
+	for i := range specs {
+		specs[i] = fleetSpec
+	}
+	outs, err := RunManyWith(specs, BatchOptions{Jobs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := Run(fleetSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, out := range outs {
+		if !sameOutcome(out, cold) {
+			t.Errorf("spec %d: coalesced outcome differs from a cold run", i)
+		}
+	}
+	if s := FleetSnapshot(); s.Misses != 1 || s.Hits != 7 || s.Stores != 1 {
+		t.Errorf("fleet stats = %+v, want 1 miss, 7 hits, 1 store", s)
+	}
+}
+
+// TestFleetFollowerRunsWhenLeaderFails: a leader whose run fails stores
+// nothing, so every concurrent duplicate runs the spec itself and gets
+// the failure first-hand.
+func TestFleetFollowerRunsWhenLeaderFails(t *testing.T) {
+	resetFleetForTest(t)
+	failing := fleetSpec
+	failing.Tweak = func(c *htm.Config) { c.MaxCycles = 1000 } // the watchdog fires
+	specs := []Spec{failing, failing, failing, failing}
+	outs, err := RunManyWith(specs, BatchOptions{Jobs: 4, KeepGoing: true})
+	if err == nil {
+		t.Fatal("a batch of watchdog-failing specs succeeded")
+	}
+	if len(outs) != len(specs) {
+		t.Fatalf("got %d outcomes for %d specs", len(outs), len(specs))
+	}
+	if s := FleetSnapshot(); s.Misses != 4 || s.Hits != 0 || s.Stores != 0 {
+		t.Errorf("fleet stats = %+v, want 4 misses and nothing stored or served", s)
 	}
 }
 

@@ -163,6 +163,21 @@ func (c *Cache) Get(k Key) (*Entry, bool) {
 	return nil, false
 }
 
+// Coalesced serves k to a caller whose Get missed while a concurrent
+// run of the same key was in flight. When that run has stored its entry
+// in the memory tier, the caller is served it and its earlier miss is
+// recounted as a hit.
+func (c *Cache) Coalesced(k Key) (*Entry, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.mem[k]
+	if ok {
+		c.stats.Misses--
+		c.stats.Hits++
+	}
+	return e, ok
+}
+
 // Peek reports whether k is resident in either tier without counting a
 // hit or a miss (admission probes must not skew the cache statistics).
 // A disk-resident entry is promoted into the memory tier exactly like

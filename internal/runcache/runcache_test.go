@@ -50,6 +50,28 @@ func TestMemoryTier(t *testing.T) {
 	}
 }
 
+// TestCoalesced: a miss whose key another run then stored is recounted
+// as a hit; a key nobody stored stays a miss.
+func TestCoalesced(t *testing.T) {
+	c := New()
+	k, absent := testKey(1), testKey(2)
+	c.Get(k)
+	c.Get(absent)
+	e := testEntry(1000)
+	if err := c.Put(k, e); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := c.Coalesced(k); !ok || got != e {
+		t.Fatalf("Coalesced(stored) = %v, %v", got, ok)
+	}
+	if _, ok := c.Coalesced(absent); ok {
+		t.Fatal("Coalesced served a key nobody stored")
+	}
+	if s := c.Stats(); s.Hits != 1 || s.Misses != 1 || s.Stores != 1 {
+		t.Fatalf("stats = %+v, want 1 hit, 1 miss, 1 store", s)
+	}
+}
+
 func TestDiskTierRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	c := New()

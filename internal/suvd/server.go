@@ -547,7 +547,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	st := jb.status()
 	enc.Encode(streamMsg{JobID: jb.id, State: st.State, Progress: st.Progress, Error: st.Error, Final: terminalName(st.State)})
 	flush()
-	if jb.terminalNow() {
+	if terminalName(st.State) {
+		// That line was the terminal one. A job that finished after the
+		// snapshot still gets its terminal line from the loop below.
 		return
 	}
 	for {
@@ -581,13 +583,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// terminalNow reports whether the job has already finished.
-func (j *job) terminalNow() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state.terminal()
 }
 
 // terminalName maps an API state string back to terminality (for the
