@@ -29,149 +29,22 @@ import (
 // directory, redirect), not in setup.
 var steadyStateSpec = suvtm.Spec{App: "vacation", Scheme: suvtm.SUVTM, Scale: 0.4}
 
-// parallelSteadySpec is the window engine's steady-state workload: the
-// sessionstore app's request loops are exactly the long core-local
-// instruction chains the engine extracts. The parallel benchmark runs
-// it at Shards=4; its baseline twin runs the same spec on the
-// sequential engine, and their Mcycles/s ratio is the speedup recorded
-// in BENCH_hotpath.json.
-var parallelSteadySpec = suvtm.Spec{App: "sessionstore", Scheme: suvtm.SUVTM, Cores: 8, Scale: 1.0}
-
-// benchMachine returns a benchmark running one whole simulation of spec
-// per iteration, reporting host throughput as simulated Mcycles per
-// wall-second — the "how fast is this simulator" number the perf
-// trajectory tracks.
-func benchMachine(spec suvtm.Spec) func(b *testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		var simCycles float64
-		for i := 0; i < b.N; i++ {
-			out, err := suvtm.Run(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			simCycles += float64(out.Cycles)
+// BenchmarkMachineSteadyState runs one whole simulation per iteration
+// and reports host throughput as simulated Mcycles per wall-second —
+// the "how fast is this simulator" number the perf trajectory tracks.
+func BenchmarkMachineSteadyState(b *testing.B) {
+	b.ReportAllocs()
+	var simCycles float64
+	for i := 0; i < b.N; i++ {
+		out, err := suvtm.Run(steadyStateSpec)
+		if err != nil {
+			b.Fatal(err)
 		}
-		secs := b.Elapsed().Seconds()
-		if secs > 0 {
-			b.ReportMetric(simCycles/1e6/secs, "Mcycles/s")
-		}
+		simCycles += float64(out.Cycles)
 	}
-}
-
-// benchMachineSteady is benchMachine on the fleet's warm path: each
-// iteration runs a seed-varied batch of the spec through RunManyWith
-// (one worker, cache bypassed), so the per-worker machine arena
-// amortizes cache/directory construction exactly as a real sweep does
-// and the number measures engine throughput, not setup.
-func benchMachineSteady(spec suvtm.Spec) func(b *testing.B) {
-	const batch = 8
-	specs := make([]suvtm.Spec, batch)
-	for i := range specs {
-		s := spec
-		s.Seed = uint64(i + 1)
-		specs[i] = s
-	}
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		var simCycles float64
-		for i := 0; i < b.N; i++ {
-			outs, err := suvtm.RunManyWith(specs, suvtm.BatchOptions{Jobs: 1, NoCache: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, out := range outs {
-				simCycles += float64(out.Cycles)
-			}
-		}
-		secs := b.Elapsed().Seconds()
-		if secs > 0 {
-			b.ReportMetric(simCycles/1e6/secs, "Mcycles/s")
-		}
-	}
-}
-
-// BenchmarkMachineSteadyState is the classic sequential-engine number.
-func BenchmarkMachineSteadyState(b *testing.B) { benchMachine(steadyStateSpec)(b) }
-
-// BenchmarkMachineSteadyStateSequential runs the window engine's
-// steady-state spec on the sequential engine through the same warm
-// harness — the denominator of the speedup ratio in BENCH_hotpath.json.
-func BenchmarkMachineSteadyStateSequential(b *testing.B) {
-	benchMachineSteady(parallelSteadySpec)(b)
-}
-
-// BenchmarkMachineSteadyStateParallel is the same measurement with the
-// deterministic parallel window engine engaged (Shards=4; the fleet
-// clamps the effective shard count to the host, and results stay
-// bit-identical to the sequential engine either way).
-func BenchmarkMachineSteadyStateParallel(b *testing.B) {
-	spec := parallelSteadySpec
-	spec.Shards = 4
-	benchMachineSteady(spec)(b)
-}
-
-// parallelConflictSpec is the window engine's conflict-heavy workload:
-// intruderscan alternates barrier-fenced private-buffer sweeps (the
-// phase the cross-core certified-miss tier parallelizes) with
-// intruder-style bursts on a shared queue and dictionary (the phase
-// that aborts often and must run on the sequential pocket loop). The
-// pair below pins how much of that mix the engine recovers.
-var parallelConflictSpec = suvtm.Spec{App: "intruderscan", Scheme: suvtm.SUVTM, Cores: 8, Scale: 1.0}
-
-// BenchmarkMachineConflictSequential is the conflict pair's sequential
-// baseline — the denominator of its speedup ratio.
-func BenchmarkMachineConflictSequential(b *testing.B) {
-	benchMachineSteady(parallelConflictSpec)(b)
-}
-
-// BenchmarkMachineConflictParallel runs the conflict workload with the
-// window engine engaged at Shards=4.
-func BenchmarkMachineConflictParallel(b *testing.B) {
-	spec := parallelConflictSpec
-	spec.Shards = 4
-	benchMachineSteady(spec)(b)
-}
-
-// TestHotPathAllocsParallelEngine pins the warm-path allocation budget
-// of a window-engine run. testing.AllocsPerRun is unusable here — it
-// forces GOMAXPROCS to 1, which routes parrun.Run onto its inline path
-// — so the test measures the Mallocs delta across warm RunManyWith
-// batches directly. The budget covers everything a warm fleet worker
-// allocates per run (outcome, result, check closure, engine scratch the
-// arena could not retain); the parallel engine itself must stay at
-// effectively zero thanks to the ParArena and the pooled parrun workers.
-func TestHotPathAllocsParallelEngine(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation budget needs full-length runs")
-	}
-	spec := parallelSteadySpec
-	spec.Shards = 4
-	const batch = 8
-	specs := make([]suvtm.Spec, batch)
-	for i := range specs {
-		s := spec
-		s.Seed = uint64(i + 1)
-		specs[i] = s
-	}
-	run := func() {
-		if _, err := suvtm.RunManyWith(specs, suvtm.BatchOptions{Jobs: 1, NoCache: true}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run() // warm the fleet arena, the ParArena and the parrun pool
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	const rounds = 2
-	for i := 0; i < rounds; i++ {
-		run()
-	}
-	runtime.ReadMemStats(&after)
-	perRun := float64(after.Mallocs-before.Mallocs) / (rounds * batch)
-	t.Logf("parallel warm path: %.0f allocs/run", perRun)
-	if perRun > 1500 {
-		t.Fatalf("parallel warm path allocates %.0f objects/run, budget is 1500 — a hot path grew an allocation", perRun)
+	secs := b.Elapsed().Seconds()
+	if secs > 0 {
+		b.ReportMetric(simCycles/1e6/secs, "Mcycles/s")
 	}
 }
 
@@ -248,11 +121,6 @@ type benchRecord struct {
 	AllocsOp  float64 `json:"allocs_per_op"`
 	BytesOp   float64 `json:"bytes_per_op"`
 	McyclesPS float64 `json:"mcycles_per_sec,omitempty"`
-	// Shards is the window-engine shard count the benchmark requested
-	// (0 = sequential engine); Speedup is its Mcycles/s over the
-	// sequential run of the same spec.
-	Shards  int     `json:"shards,omitempty"`
-	Speedup float64 `json:"speedup,omitempty"`
 }
 
 // benchDump is the schema of BENCH_hotpath.json.
@@ -274,7 +142,7 @@ func TestWriteBench(t *testing.T) {
 		Written:   time.Now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
 	}
-	record := func(name string, fn func(b *testing.B)) benchRecord {
+	record := func(name string, fn func(b *testing.B)) {
 		runtime.GC() // keep earlier benchmarks' garbage out of this one's timing
 		res := testing.Benchmark(fn)
 		rec := benchRecord{
@@ -289,33 +157,11 @@ func TestWriteBench(t *testing.T) {
 		dump.Results = append(dump.Results, rec)
 		t.Logf("%s: %.0f ns/op, %.0f allocs/op, %.0f B/op, %.1f Mcycles/s",
 			name, rec.NsPerOp, rec.AllocsOp, rec.BytesOp, rec.McyclesPS)
-		return rec
 	}
 	record("BenchmarkMemoryLine", benchMemoryLine)
 	record("BenchmarkDirectoryRoundtrip", benchDirectoryRoundtrip)
 	record("BenchmarkLineSet", benchLineSet)
 	record("BenchmarkMachineSteadyState", BenchmarkMachineSteadyState)
-	// The parallel pair: same spec on the sequential engine and on the
-	// window engine, so the baseline pins the speedup ratio, not just
-	// two unrelated throughput numbers.
-	seq := record("BenchmarkMachineSteadyStateSequential", BenchmarkMachineSteadyStateSequential)
-	record("BenchmarkMachineSteadyStateParallel", BenchmarkMachineSteadyStateParallel)
-	par := &dump.Results[len(dump.Results)-1]
-	par.Shards = 4
-	if seq.McyclesPS > 0 {
-		par.Speedup = par.McyclesPS / seq.McyclesPS
-		t.Logf("parallel speedup: %.2fx", par.Speedup)
-	}
-	// The conflict pair: same ratio discipline on the workload whose
-	// windows must coexist with abort-heavy sequential pockets.
-	cseq := record("BenchmarkMachineConflictSequential", BenchmarkMachineConflictSequential)
-	record("BenchmarkMachineConflictParallel", BenchmarkMachineConflictParallel)
-	cpar := &dump.Results[len(dump.Results)-1]
-	cpar.Shards = 4
-	if cseq.McyclesPS > 0 {
-		cpar.Speedup = cpar.McyclesPS / cseq.McyclesPS
-		t.Logf("conflict speedup: %.2fx", cpar.Speedup)
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)

@@ -1,5 +1,5 @@
 // Command suvlint runs the repo's static-analysis suite (detmap,
-// wallclock, hotalloc, exhaustive, peekpure, stalesuppress — see
+// wallclock, hotalloc, exhaustive, stalesuppress — see
 // internal/analysis).
 //
 // It speaks two protocols:
@@ -97,9 +97,7 @@ func usage() {
 	fmt.Fprint(os.Stderr, `usage: suvlint [-json] [packages]
 
 Runs the suvtm static-analysis suite (detmap, wallclock, hotalloc,
-exhaustive, peekpure, stalesuppress) over the given package patterns
-(default ./...) by re-executing itself under "go vet -vettool", which
-also propagates peekpure's cross-package purity facts in dependency
-order.
+exhaustive, stalesuppress) over the given package patterns (default
+./...) by re-executing itself under "go vet -vettool".
 `)
 }

@@ -45,8 +45,6 @@ func main() {
 		cores  = flag.Int("cores", 16, "simulated cores")
 		scale  = flag.Float64("scale", 1.0, "workload scale factor")
 		seed   = flag.Uint64("seed", 1, "simulation seed")
-		shards = flag.Int("shards", 0, "parallel window-engine shards (0 = sequential engine; results are bit-identical for every value)")
-		banks  = flag.Int("banks", 0, "directory/L2 bank count override (0 = default; results are bit-identical for every value)")
 		config = flag.Bool("config", false, "print the simulated CMP configuration and exit")
 		list   = flag.Bool("list", false, "list available applications and exit")
 		traceN = flag.Int("trace", 0, "dump the last N transaction lifecycle events")
@@ -105,8 +103,6 @@ func main() {
 	spec := suvtm.Spec{
 		App: *app, Scheme: suvtm.Scheme(*scheme),
 		Cores: *cores, Scale: *scale, Seed: *seed,
-		Shards:      *shards,
-		Banks:       *banks,
 		TraceEvents: *traceN,
 		Metrics:     *metricsJSON != "" || *metricsProm != "",
 		ChromeTrace: *chromeTrace != "",
@@ -201,16 +197,6 @@ func main() {
 			c.MeanIsolationWindow(), c.IsoWindows)
 	}
 	fmt.Println("  invariants:     OK (serializability checks passed)")
-	if *shards > 0 {
-		if ps := out.Parallel; ps.Shards > 0 {
-			fmt.Printf("  parallel:       %d shards x %d workers, %d dir/L2 banks: %d windows (%d chain ops), %d sequential steps\n",
-				ps.Shards, ps.Workers, ps.Banks, ps.Windows, ps.ChainOps, ps.SeqSteps)
-			fmt.Printf("                  fallbacks by cause: %d engine-op, %d scheme, %d cross-core, %d small-window (of %d attempts)\n",
-				ps.FallbackEngine, ps.FallbackScheme, ps.FallbackCrossCore, ps.FallbackSmall, ps.Attempts)
-		} else {
-			fmt.Println("  parallel:       run ineligible (scheme or observers); sequential engine used")
-		}
-	}
 	if *progressDump || spec.FaultPlan != "" || spec.Faults != nil {
 		fmt.Printf("  robustness:     %d injected NACKs, %d mesh timeouts / %d retries / %d duplicates\n",
 			c.InjectedNACKs, c.MeshTimeouts, c.MeshRetries, c.MeshDuplicates)

@@ -24,24 +24,24 @@ import (
 
 func main() {
 	var (
-		csvDir   = flag.String("csv", "", "also write <dir>/<sweep>.csv for plotting")
-		fig7     = flag.Bool("fig7", false, "sweep the first-level redirect-table size (Figure 7)")
-		fig8size = flag.Bool("fig8size", false, "sweep the second-level table size (Figure 8a)")
-		fig8lat  = flag.Bool("fig8lat", false, "sweep the second-level table latency (Figure 8b)")
-		scaling  = flag.String("scaling", "", "core-count scaling study for one app (e.g. -scaling yada)")
-		all      = flag.Bool("all", false, "run every sweep")
-		cores    = flag.Int("cores", 16, "simulated cores")
-		seed     = flag.Uint64("seed", 1, "simulation seed")
-		scale    = flag.Float64("scale", 1.0, "workload scale factor")
-		apps     = flag.String("apps", "", "comma-separated app subset (default: all eight)")
+		csvDir    = flag.String("csv", "", "also write <dir>/<sweep>.csv for plotting")
+		fig7      = flag.Bool("fig7", false, "sweep the first-level redirect-table size (Figure 7)")
+		fig8size  = flag.Bool("fig8size", false, "sweep the second-level table size (Figure 8a)")
+		fig8lat   = flag.Bool("fig8lat", false, "sweep the second-level table latency (Figure 8b)")
+		scaling   = flag.String("scaling", "", "core-count scaling study for one app (e.g. -scaling yada)")
+		all       = flag.Bool("all", false, "run every sweep")
+		cores     = flag.Int("cores", 16, "simulated cores")
+		seed      = flag.Uint64("seed", 1, "simulation seed")
+		scale     = flag.Float64("scale", 1.0, "workload scale factor")
+		apps      = flag.String("apps", "", "comma-separated app subset (default: all eight)")
 		series    = flag.String("series", "", "per-interval time series for one app under the Figure 6 schemes (requires -csv)")
 		interval  = flag.Uint64("sample-interval", 10000, "sampling interval for -series, in simulated cycles")
 		forensic  = flag.String("forensics", "", "conflict-forensics comparison for one app across every scheme (true conflicts vs signature false positives, hottest lines/sites)")
 		topK      = flag.Int("forensics-topk", 0, "hot-site/hot-line table depth for -forensics (0 = default)")
 		foldedDir = flag.String("folded", "", "with -forensics, also write <dir>/forensics_<app>_<scheme>.folded cycle-loss profiles")
 		progress  = flag.Bool("progress", false, "stream deterministic fleet-progress snapshots to stderr while batches run")
-		jobs     = flag.Int("jobs", 0, "concurrent simulations (0 = one per host CPU)")
-		cacheDir = flag.String("cache-dir", os.Getenv("SUVTM_RUNCACHE"),
+		jobs      = flag.Int("jobs", 0, "concurrent simulations (0 = one per host CPU)")
+		cacheDir  = flag.String("cache-dir", os.Getenv("SUVTM_RUNCACHE"),
 			"persist the run cache under this directory (default $SUVTM_RUNCACHE; empty = in-memory only)")
 		cacheVerify = flag.Bool("cache-verify", false,
 			"re-simulate a sample of cache hits and fail on divergence")

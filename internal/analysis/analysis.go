@@ -13,11 +13,6 @@
 //     enum-like types (cache-line states, fault kinds, redirect states,
 //     trace kinds, ...) to cover every declared constant or carry a
 //     default that panics.
-//   - the LocalPeeker purity contract: peekpure proves, over ssalite
-//     single-assignment effect summaries with interprocedural isPure
-//     facts, that every PeekLoad/PeekStore/PeekDirOp method performs no
-//     observable mutation — the property the parallel window engine's
-//     chain certification silently depends on.
 //   - suppression hygiene: stalesuppress cross-references every //suv:
 //     directive against the findings it suppressed or the checks it
 //     armed this run, and flags annotations that no longer do anything
@@ -36,7 +31,6 @@
 //	//suv:orderinsensitive <why order cannot leak into simulated state>
 //	//suv:allocok <why this allocation is acceptable on the hot path>
 //	//suv:nonexhaustive <why this switch intentionally ignores values>
-//	//suv:peekimpure <why this mutation cannot be observed via a peek>
 //	//suv:hotpath          (on a function doc comment; enables hotalloc)
 //
 // A suppression directive applies to the source line it sits on or the
@@ -57,7 +51,6 @@ func Analyzers() []*xanalysis.Analyzer {
 		WallClockAnalyzer,
 		HotAllocAnalyzer,
 		ExhaustiveAnalyzer,
-		PeekPureAnalyzer,
 		StaleSuppressAnalyzer,
 	}
 }
@@ -70,14 +63,12 @@ func Analyzers() []*xanalysis.Analyzer {
 // tables, so detmap patrols them.
 var detCorePkgs = []string{
 	"suvtm/internal/sim",
-	"suvtm/internal/bank",
 	"suvtm/internal/mem",
 	"suvtm/internal/coherence",
 	"suvtm/internal/interconnect",
 	"suvtm/internal/redirect",
 	"suvtm/internal/signature",
 	"suvtm/internal/htm",
-	"suvtm/internal/parrun",
 	"suvtm/internal/forensics",
 	"suvtm/internal/workload",
 	"suvtm/internal/runcache",

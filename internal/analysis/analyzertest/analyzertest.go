@@ -1,21 +1,16 @@
 // Package analyzertest is a minimal stand-in for
 // golang.org/x/tools/go/analysis/analysistest (which is not part of
 // the toolchain-vendored x/tools subset this repo builds against). It
-// type-checks directories of test sources as packages — under any
-// import paths the caller chooses, which is how the suvlint analyzers'
-// package-scope predicates (deterministic core, simulated machine) are
-// exercised — runs an analyzer and its Requires DAG, and matches
-// reported diagnostics against analysistest-style
+// type-checks one directory of test sources as a single package —
+// under any import path the caller chooses, which is how the suvlint
+// analyzers' package-scope predicates (deterministic core, simulated
+// machine) are exercised — runs an analyzer and its Requires DAG, and
+// matches reported diagnostics against analysistest-style
 //
 //	// want "regexp" "another regexp"
 //
 // comments on the reporting line. Stdlib imports in test sources are
 // type-checked from GOROOT source, so no export data is required.
-//
-// RunPkgs analyzes several packages in dependency order against one
-// shared in-memory fact store, so interprocedural analyzers (peekpure's
-// isPure facts) can be exercised across package boundaries exactly as
-// the unitchecker driver propagates them.
 package analyzertest
 
 import (
@@ -27,7 +22,6 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"reflect"
 	"regexp"
 	"sort"
 	"strings"
@@ -36,151 +30,69 @@ import (
 	"golang.org/x/tools/go/analysis"
 )
 
-// A Pkg names one directory of test sources and the import path to
-// type-check it under.
-type Pkg struct {
-	Dir  string
-	Path string
-}
-
 // Run analyzes the Go sources in dir as one package with the given
 // import path and reports expectation mismatches through t.
 func Run(t *testing.T, dir, pkgPath string, a *analysis.Analyzer) {
 	t.Helper()
-	RunPkgs(t, a, Pkg{dir, pkgPath})
-}
-
-// RunPkgs analyzes the packages in order (earlier packages are
-// importable by later ones, and analyzer facts flow the same way) and
-// matches the union of diagnostics against every file's want comments.
-func RunPkgs(t *testing.T, a *analysis.Analyzer, pkgs ...Pkg) {
-	t.Helper()
-	res, err := analyze(a, pkgs...)
+	diags, fset, files, err := analyze(dir, pkgPath, a)
 	if err != nil {
 		t.Fatalf("analyzertest: %v", err)
 	}
-	checkExpectations(t, res.fset, res.files, res.diags)
+	checkExpectations(t, fset, files, diags)
 }
 
 // Diagnostics runs the analyzer and returns raw findings (for tests
 // that assert on counts or message content directly).
 func Diagnostics(t *testing.T, dir, pkgPath string, a *analysis.Analyzer) []analysis.Diagnostic {
 	t.Helper()
-	res, err := analyze(a, Pkg{dir, pkgPath})
+	diags, _, _, err := analyze(dir, pkgPath, a)
 	if err != nil {
 		t.Fatalf("analyzertest: %v", err)
 	}
-	return res.diags
+	return diags
 }
 
-type analyzeResult struct {
-	fset  *token.FileSet
-	files []*ast.File
-	diags []analysis.Diagnostic
-}
-
-// chainImporter serves packages type-checked earlier in the same
-// analyze call by import path, falling back to GOROOT source for
-// everything else.
-type chainImporter struct {
-	local map[string]*types.Package
-	std   types.Importer
-}
-
-func (c chainImporter) Import(path string) (*types.Package, error) {
-	if p, ok := c.local[path]; ok {
-		return p, nil
-	}
-	return c.std.Import(path)
-}
-
-// factStore is the in-memory analogue of the unitchecker's .facts
-// files: facts are keyed by (object, fact type) and survive across the
-// packages of one analyze call, which is exactly the lifetime
-// cross-package fact propagation needs in tests.
-type factStore struct {
-	obj map[objFactKey]analysis.Fact
-	pkg map[pkgFactKey]analysis.Fact
-}
-
-type objFactKey struct {
-	obj types.Object
-	typ reflect.Type
-}
-
-type pkgFactKey struct {
-	pkg *types.Package
-	typ reflect.Type
-}
-
-func newFactStore() *factStore {
-	return &factStore{obj: map[objFactKey]analysis.Fact{}, pkg: map[pkgFactKey]analysis.Fact{}}
-}
-
-// copyFact copies the stored fact's value into the caller's pointer,
-// mirroring the decode step of the real drivers.
-func copyFact(dst, src analysis.Fact) {
-	reflect.ValueOf(dst).Elem().Set(reflect.ValueOf(src).Elem())
-}
-
-func analyze(a *analysis.Analyzer, pkgs ...Pkg) (*analyzeResult, error) {
+func analyze(dir, pkgPath string, a *analysis.Analyzer) ([]analysis.Diagnostic, *token.FileSet, []*ast.File, error) {
 	fset := token.NewFileSet()
-	imp := chainImporter{
-		local: map[string]*types.Package{},
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	var files []*ast.File
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		files = append(files, f)
+	}
+	if len(files) == 0 {
+		return nil, nil, nil, fmt.Errorf("no Go sources in %s", dir)
+	}
+
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Implicits:  map[ast.Node]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Scopes:     map[ast.Node]*types.Scope{},
+		Instances:  map[*ast.Ident]types.Instance{},
+	}
+	conf := types.Config{
 		// The "source" importer type-checks stdlib dependencies from
 		// GOROOT source, so tests need no compiled export data.
-		std: importer.ForCompiler(fset, "source", nil),
+		Importer: importer.ForCompiler(fset, "source", nil),
 	}
-	facts := newFactStore()
-	out := &analyzeResult{fset: fset}
-
-	for _, p := range pkgs {
-		entries, err := os.ReadDir(p.Dir)
-		if err != nil {
-			return nil, err
-		}
-		var files []*ast.File
-		for _, e := range entries {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-				continue
-			}
-			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, e.Name()), nil, parser.ParseComments)
-			if err != nil {
-				return nil, err
-			}
-			files = append(files, f)
-		}
-		if len(files) == 0 {
-			return nil, fmt.Errorf("no Go sources in %s", p.Dir)
-		}
-
-		info := &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Implicits:  map[ast.Node]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-			Scopes:     map[ast.Node]*types.Scope{},
-			Instances:  map[*ast.Ident]types.Instance{},
-		}
-		conf := types.Config{Importer: imp}
-		pkg, err := conf.Check(p.Path, fset, files, info)
-		if err != nil {
-			return nil, fmt.Errorf("type-checking %s: %w", p.Dir, err)
-		}
-		imp.local[p.Path] = pkg
-
-		if err := runDAG(a, fset, files, pkg, info, facts, &out.diags); err != nil {
-			return nil, err
-		}
-		out.files = append(out.files, files...)
+	pkg, err := conf.Check(pkgPath, fset, files, info)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("type-checking %s: %w", dir, err)
 	}
-	return out, nil
-}
 
-// runDAG runs the analyzer and its Requires closure over one package;
-// results are per-package, facts are shared through the store.
-func runDAG(root *analysis.Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, facts *factStore, diags *[]analysis.Diagnostic) error {
+	var diags []analysis.Diagnostic
 	results := map[*analysis.Analyzer]any{}
 	var run func(a *analysis.Analyzer) error
 	run = func(a *analysis.Analyzer) error {
@@ -201,42 +113,14 @@ func runDAG(root *analysis.Analyzer, fset *token.FileSet, files []*ast.File, pkg
 			TypesSizes: types.SizesFor("gc", "amd64"),
 			ResultOf:   results,
 			Report: func(d analysis.Diagnostic) {
-				*diags = append(*diags, d)
+				diags = append(diags, d)
 			},
-			ImportObjectFact: func(obj types.Object, f analysis.Fact) bool {
-				got, ok := facts.obj[objFactKey{obj, reflect.TypeOf(f)}]
-				if ok {
-					copyFact(f, got)
-				}
-				return ok
-			},
-			ExportObjectFact: func(obj types.Object, f analysis.Fact) {
-				facts.obj[objFactKey{obj, reflect.TypeOf(f)}] = f
-			},
-			ImportPackageFact: func(p *types.Package, f analysis.Fact) bool {
-				got, ok := facts.pkg[pkgFactKey{p, reflect.TypeOf(f)}]
-				if ok {
-					copyFact(f, got)
-				}
-				return ok
-			},
-			ExportPackageFact: func(f analysis.Fact) {
-				facts.pkg[pkgFactKey{pkg, reflect.TypeOf(f)}] = f
-			},
-			AllObjectFacts: func() []analysis.ObjectFact {
-				var out []analysis.ObjectFact
-				for k, f := range facts.obj {
-					out = append(out, analysis.ObjectFact{Object: k.obj, Fact: f})
-				}
-				return out
-			},
-			AllPackageFacts: func() []analysis.PackageFact {
-				var out []analysis.PackageFact
-				for k, f := range facts.pkg {
-					out = append(out, analysis.PackageFact{Package: k.pkg, Fact: f})
-				}
-				return out
-			},
+			ImportObjectFact:  func(types.Object, analysis.Fact) bool { panic("facts unsupported") },
+			ExportObjectFact:  func(types.Object, analysis.Fact) { panic("facts unsupported") },
+			ImportPackageFact: func(*types.Package, analysis.Fact) bool { panic("facts unsupported") },
+			ExportPackageFact: func(analysis.Fact) { panic("facts unsupported") },
+			AllObjectFacts:    func() []analysis.ObjectFact { return nil },
+			AllPackageFacts:   func() []analysis.PackageFact { return nil },
 		}
 		res, err := a.Run(pass)
 		if err != nil {
@@ -245,7 +129,10 @@ func runDAG(root *analysis.Analyzer, fset *token.FileSet, files []*ast.File, pkg
 		results[a] = res
 		return nil
 	}
-	return run(root)
+	if err := run(a); err != nil {
+		return nil, nil, nil, err
+	}
+	return diags, fset, files, nil
 }
 
 var wantRe = regexp.MustCompile("\"((?:[^\"\\\\]|\\\\.)*)\"|`([^`]*)`")

@@ -16,7 +16,6 @@ var knownAnnots = map[string]string{
 	"allocok":          "hotalloc",
 	"nonexhaustive":    "exhaustive",
 	"hotpath":          "hotalloc",
-	"peekimpure":       "peekpure",
 }
 
 // StaleSuppressAnalyzer flags //suv: annotations that no longer do
@@ -31,7 +30,7 @@ var knownAnnots = map[string]string{
 var StaleSuppressAnalyzer = &xanalysis.Analyzer{
 	Name: "stalesuppress",
 	Doc: "flag //suv: annotations that no longer suppress or arm anything\n\n" +
-		"A //suv:orderinsensitive/allocok/nonexhaustive/peekimpure directive\n" +
+		"A //suv:orderinsensitive/allocok/nonexhaustive directive\n" +
 		"must suppress at least one live finding, and //suv:hotpath must arm\n" +
 		"hotalloc on a function; otherwise the annotation is stale — delete\n" +
 		"it, or move it back next to the construct it justifies. Unknown\n" +
@@ -40,7 +39,6 @@ var StaleSuppressAnalyzer = &xanalysis.Analyzer{
 		DetMapAnalyzer,
 		HotAllocAnalyzer,
 		ExhaustiveAnalyzer,
-		PeekPureAnalyzer,
 	},
 	Run: runStaleSuppress,
 }

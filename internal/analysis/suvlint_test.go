@@ -21,23 +21,6 @@ func TestDetMapOutsideCore(t *testing.T) {
 	analyzertest.Run(t, "testdata/detmap/outside", "suvtm/internal/metrics", analysis.DetMapAnalyzer)
 }
 
-// TestDetMapParrun pins the parallel runner's membership in the
-// deterministic core: a worker-results merge folded in map-iteration
-// order is a goroutine-order dependence (it breaks the window engine's
-// bit-identity guarantee), and the fixture shows both the firing shape
-// and the canonical-order fixes that pass.
-func TestDetMapParrun(t *testing.T) {
-	analyzertest.Run(t, "testdata/detmap/parrun", "suvtm/internal/parrun", analysis.DetMapAnalyzer)
-}
-
-// TestDetMapBank pins the line→bank map's membership in the
-// deterministic core: the banked directory and L2 promise bit-identical
-// stats merges for every bank count, which holds only while per-bank
-// state is visited in bank-ID order — never map-iteration order.
-func TestDetMapBank(t *testing.T) {
-	analyzertest.Run(t, "testdata/detmap/bank", "suvtm/internal/bank", analysis.DetMapAnalyzer)
-}
-
 func TestWallClockMachine(t *testing.T) {
 	analyzertest.Run(t, "testdata/wallclock/machine", "suvtm/internal/htm", analysis.WallClockAnalyzer)
 }
@@ -77,34 +60,6 @@ func TestExhaustive(t *testing.T) {
 	analyzertest.Run(t, "testdata/exhaustive/enums", "suvtm/internal/mem", analysis.ExhaustiveAnalyzer)
 }
 
-// TestPeekPureScheme runs the purity certifier over a fake LocalPeeker
-// package: receiver stores, map writes, impure callees, and dynamic
-// calls fire; pure helpers, fresh-allocation scratch space, and
-// justified //suv:peekimpure escapes stay silent.
-func TestPeekPureScheme(t *testing.T) {
-	analyzertest.Run(t, "testdata/peekpure/scheme", "suvtm/internal/htm/fakescheme", analysis.PeekPureAnalyzer)
-}
-
-// TestPeekPureFactsCrossPackage pins the interprocedural half of the
-// contract: a helper proven pure in suvtm/internal/simx certifies a
-// downstream Peek* caller through an exported isPure fact, while the
-// helper that mutates package state stays uncertifiable.
-func TestPeekPureFactsCrossPackage(t *testing.T) {
-	analyzertest.RunPkgs(t, analysis.PeekPureAnalyzer,
-		analyzertest.Pkg{Dir: "testdata/peekpure/helpers", Path: "suvtm/internal/simx"},
-		analyzertest.Pkg{Dir: "testdata/peekpure/cross", Path: "suvtm/internal/htm/crossscheme"},
-	)
-}
-
-// TestPeekPureScopeIsModuleSensitive pins that the contract binds this
-// module only: the same violating sources are clean outside suvtm.
-func TestPeekPureScopeIsModuleSensitive(t *testing.T) {
-	diags := analyzertest.Diagnostics(t, "testdata/peekpure/scheme", "example.com/other", analysis.PeekPureAnalyzer)
-	if len(diags) != 0 {
-		t.Fatalf("peekpure fired outside the suvtm module: %v", diags)
-	}
-}
-
 // TestStaleSuppress runs the suppression-hygiene analyzer over a
 // deterministic-core fixture where live suppressions and armed
 // //suv:hotpath annotations stay silent while refactored-away and
@@ -114,22 +69,18 @@ func TestStaleSuppress(t *testing.T) {
 }
 
 // TestSuiteArmsV2Analyzers is the canary for the v2 suite: the driver
-// list cmd/suvlint feeds to both protocols must include peekpure and
-// stalesuppress, and each must actually fire on its broken fixture —
-// a tree-wide green run proves nothing if the analyzer silently
-// stopped matching.
+// list cmd/suvlint feeds to both protocols must include stalesuppress,
+// and it must actually fire on its broken fixture — a tree-wide green
+// run proves nothing if the analyzer silently stopped matching.
 func TestSuiteArmsV2Analyzers(t *testing.T) {
 	armed := map[string]bool{}
 	for _, a := range analysis.Analyzers() {
 		armed[a.Name] = true
 	}
-	for _, name := range []string{"detmap", "wallclock", "hotalloc", "exhaustive", "peekpure", "stalesuppress"} {
+	for _, name := range []string{"detmap", "wallclock", "hotalloc", "exhaustive", "stalesuppress"} {
 		if !armed[name] {
 			t.Errorf("analyzer %s missing from the suvlint suite", name)
 		}
-	}
-	if n := len(analyzertest.Diagnostics(t, "testdata/peekpure/scheme", "suvtm/internal/htm/fakescheme", analysis.PeekPureAnalyzer)); n == 0 {
-		t.Error("peekpure canary did not fire on the broken scheme fixture")
 	}
 	if n := len(analyzertest.Diagnostics(t, "testdata/stalesuppress/pkg", "suvtm/internal/sim", analysis.StaleSuppressAnalyzer)); n == 0 {
 		t.Error("stalesuppress canary did not fire on the stale-annotation fixture")

@@ -5,21 +5,11 @@
 // GETS/GETM/eviction transitions of the MESI protocol. Conflict
 // *detection* (signature checks, NACKs) is layered on top by the HTM
 // machine; the directory itself is TM-agnostic.
-//
-// The directory is banked: entries, stats and the tracked-line count are
-// partitioned into K independent banks keyed by the deterministic
-// line→bank map shared with the L2 (bank.Map). Banking is behaviorally
-// invisible — lines partition exactly, queries route to one bank, and
-// Stats/Tracked sum the banks in bank-ID order — but it gives the
-// parallel window engine disjoint mutable state: two cores whose window
-// chains touch different banks can fill and evict concurrently without
-// ever sharing a page table, a counter, or a tracked count.
 package coherence
 
 import (
 	"math/bits"
 
-	"suvtm/internal/bank"
 	"suvtm/internal/metrics"
 	"suvtm/internal/sim"
 )
@@ -28,17 +18,16 @@ import (
 const maxCores = 64
 
 // Paged-entry geometry: directory state is a two-level structure of
-// fixed-size pages indexed directly by the line's dense in-bank index,
-// so the per-access owner/sharer reads are indexed loads instead of map
-// probes.
+// fixed-size pages indexed directly by line number, so the per-access
+// owner/sharer reads are indexed loads instead of map probes.
 const (
 	dirPageShift = 10 // 1024 entries per page
 	dirPageSize  = 1 << dirPageShift
 	dirPageMask  = dirPageSize - 1
 
-	// dirDirectPages bounds the directly-indexed page table (in-bank
-	// line indices below 2^27, i.e. an 8 GiB physical space per bank);
-	// pathological line numbers beyond it fall back to a map.
+	// dirDirectPages bounds the directly-indexed page table (line
+	// numbers below 2^27, i.e. an 8 GiB physical space); pathological
+	// line numbers beyond it fall back to a map.
 	dirDirectPages = 1 << 17
 )
 
@@ -54,15 +43,6 @@ type DirStats struct {
 	Drops         metrics.Counter // evictions / explicit copy removals
 }
 
-// add folds o into s (bank aggregation; plain sums).
-func (s *DirStats) add(o *DirStats) {
-	s.GETS.Add(o.GETS.Value())
-	s.GETM.Add(o.GETM.Value())
-	s.Downgrades.Add(o.Downgrades.Value())
-	s.Invalidations.Add(o.Invalidations.Value())
-	s.Drops.Add(o.Drops.Value())
-}
-
 // entry is the directory state for one line. The zero value is the
 // untracked state (no owner, no sharers): owner is stored +1 so that
 // owner==0 means "none" and zero-filled pages need no initialization.
@@ -76,88 +56,50 @@ func (e *entry) live() bool { return e.ownerP1 != 0 || e.sharers != 0 }
 
 type dirPage [dirPageSize]entry
 
-// dirBank is one bank's private state: paged entry storage, stats and
-// the tracked-line count. Nothing in it is shared with other banks, so
-// banks mutate concurrently during parallel windows.
-type dirBank struct {
+// Directory is a full-map directory over all lines ever referenced.
+type Directory struct {
+	cores   int
 	pages   []*dirPage
 	far     map[uint64]*dirPage
 	tracked int // lines with any cached copy
-	stats   DirStats
-}
 
-// Directory is a full-map directory over all lines ever referenced,
-// partitioned into banks by a shared line→bank map.
-type Directory struct {
-	cores int
-	bm    bank.Map
-	banks []dirBank
+	stats DirStats // the protocol message mix
 
 	// Retry configures the timeout/retransmission protocol (zero value:
-	// disabled); RetryStats accumulates its activity. See retry.go. Both
-	// stay global: the retry layer only runs on the sequential engine.
+	// disabled); RetryStats accumulates its activity. See retry.go.
 	Retry      RetryPolicy
 	RetryStats RetryStats
 }
 
-// NewDirectory creates a single-bank directory for the given core count
-// (tests and callers indifferent to banking).
-func NewDirectory(cores int) *Directory { return NewDirectoryBanked(cores, 1, 0) }
-
-// NewDirectoryBanked creates a directory partitioned into `banks` banks
-// whose bank bits are line bits [shift, shift+log2(banks)) — the same
-// map the machine gives the L2, so "bank-disjoint" means the same thing
-// for both structures.
-func NewDirectoryBanked(cores, banks int, shift uint) *Directory {
+// NewDirectory creates a directory for the given core count.
+func NewDirectory(cores int) *Directory {
 	if cores <= 0 || cores > maxCores {
 		panic("coherence: unsupported core count")
 	}
-	return &Directory{cores: cores, bm: bank.NewMap(banks, shift), banks: make([]dirBank, banks)}
+	return &Directory{cores: cores}
 }
 
 // Reset returns the directory to the untracked state for a (possibly
 // different) core count while keeping the entry pages allocated. Because
 // the zero entry is the untracked state, a reset directory is
-// indistinguishable from a fresh one; stats and the retry policy are
-// cleared along with the sharing state. Bank geometry is kept.
+// indistinguishable from a fresh NewDirectory(cores); stats and the
+// retry policy are cleared along with the sharing state.
 func (d *Directory) Reset(cores int) {
 	if cores <= 0 || cores > maxCores {
 		panic("coherence: unsupported core count")
 	}
 	d.cores = cores
-	for b := range d.banks {
-		bk := &d.banks[b]
-		for _, p := range bk.pages {
-			if p != nil {
-				*p = dirPage{}
-			}
+	for _, p := range d.pages {
+		if p != nil {
+			*p = dirPage{}
 		}
-		bk.far = nil
-		bk.tracked = 0
-		bk.stats = DirStats{}
 	}
+	d.far = nil
+	d.tracked = 0
+	d.stats = DirStats{}
 	d.Retry = RetryPolicy{}
 	d.RetryStats = RetryStats{}
 }
-
-// ResetBanked is Reset with a (possibly different) bank geometry. A
-// matching geometry keeps the allocated pages (the arena-reuse path); a
-// change rebuilds the bank array fresh.
-func (d *Directory) ResetBanked(cores, banks int, shift uint) {
-	if d.bm == bank.NewMap(banks, shift) && len(d.banks) == banks {
-		d.Reset(cores)
-		return
-	}
-	*d = *NewDirectoryBanked(cores, banks, shift)
-}
-
-// Banks returns the bank count.
-func (d *Directory) Banks() int { return len(d.banks) }
-
-// BankOf returns line's bank — the window engine's claim key.
-//
-//suv:hotpath
-func (d *Directory) BankOf(line sim.Line) int { return d.bm.Of(line) }
 
 // peek returns the entry for line, or nil when the line is untracked
 // (its page may not even exist). The pointer stays valid until the next
@@ -165,64 +107,46 @@ func (d *Directory) BankOf(line sim.Line) int { return d.bm.Of(line) }
 //
 //suv:hotpath
 func (d *Directory) peek(line sim.Line) *entry {
-	bk := &d.banks[d.bm.Of(line)]
-	local := d.bm.Local(line)
-	pi := local >> dirPageShift
-	if pi < uint64(len(bk.pages)) {
-		if p := bk.pages[pi]; p != nil {
-			return &p[local&dirPageMask]
+	pi := line >> dirPageShift
+	if pi < uint64(len(d.pages)) {
+		if p := d.pages[pi]; p != nil {
+			return &p[line&dirPageMask]
 		}
 		return nil
 	}
 	if pi >= dirDirectPages {
-		if p := bk.far[pi]; p != nil {
-			return &p[local&dirPageMask]
+		if p := d.far[pi]; p != nil {
+			return &p[line&dirPageMask]
 		}
 	}
 	return nil
 }
 
 // at returns the entry for line, materializing its page on first touch.
-// It also returns the bank, whose stats and tracked count the mutating
-// callers update — bank-local, so concurrent window chains on disjoint
-// banks never share a write.
-func (d *Directory) at(line sim.Line) (*entry, *dirBank) {
-	bk := &d.banks[d.bm.Of(line)]
-	local := d.bm.Local(line)
-	pi := local >> dirPageShift
+func (d *Directory) at(line sim.Line) *entry {
+	pi := line >> dirPageShift
 	if pi >= dirDirectPages {
-		if bk.far == nil {
-			bk.far = make(map[uint64]*dirPage)
+		if d.far == nil {
+			d.far = make(map[uint64]*dirPage)
 		}
-		p := bk.far[pi]
+		p := d.far[pi]
 		if p == nil {
 			p = new(dirPage)
-			bk.far[pi] = p
+			d.far[pi] = p
 		}
-		return &p[local&dirPageMask], bk
+		return &p[line&dirPageMask]
 	}
-	if pi >= uint64(len(bk.pages)) {
-		grown := make([]*dirPage, max(pi+1, uint64(2*len(bk.pages))))
-		copy(grown, bk.pages)
-		bk.pages = grown
+	if pi >= uint64(len(d.pages)) {
+		grown := make([]*dirPage, max(pi+1, uint64(2*len(d.pages))))
+		copy(grown, d.pages)
+		d.pages = grown
 	}
-	p := bk.pages[pi]
+	p := d.pages[pi]
 	if p == nil {
 		p = new(dirPage)
-		bk.pages[pi] = p
+		d.pages[pi] = p
 	}
-	return &p[local&dirPageMask], bk
-}
-
-// Stats returns the protocol message mix summed over banks in bank-ID
-// order (the canonical merge order; the sums are commutative, the order
-// is the determinism contract).
-func (d *Directory) Stats() DirStats {
-	var s DirStats
-	for b := range d.banks {
-		s.add(&d.banks[b].stats)
-	}
-	return s
+	return &p[line&dirPageMask]
 }
 
 // Owner returns the core holding line in Modified state, or -1.
@@ -310,10 +234,10 @@ func (d *Directory) SharerList(line sim.Line) []int {
 //
 //suv:hotpath
 func (d *Directory) AddSharer(line sim.Line, core int) {
-	e, bk := d.at(line)
-	bk.stats.GETS.Inc()
+	d.stats.GETS.Inc()
+	e := d.at(line)
 	if !e.live() {
-		bk.tracked++
+		d.tracked++
 	}
 	if e.ownerP1 != 0 {
 		e.sharers |= 1 << uint(e.owner())
@@ -331,17 +255,17 @@ func (d *Directory) AddSharer(line sim.Line, core int) {
 //
 //suv:hotpath
 func (d *Directory) SetOwner(line sim.Line, core int) int {
-	e, bk := d.at(line)
+	e := d.at(line)
 	if !e.live() {
-		bk.tracked++
+		d.tracked++
 	}
 	invalidated := 0
 	if e.ownerP1 != 0 && e.owner() != core {
 		invalidated++
 	}
 	invalidated += bits.OnesCount64(e.sharers &^ (1 << uint(core)))
-	bk.stats.GETM.Inc()
-	bk.stats.Invalidations.Add(uint64(invalidated))
+	d.stats.GETM.Inc()
+	d.stats.Invalidations.Add(uint64(invalidated))
 	e.ownerP1 = int8(core) + 1
 	e.sharers = 0
 	return invalidated
@@ -354,7 +278,7 @@ func (d *Directory) Downgrade(line sim.Line, core int) {
 	if e == nil || e.owner() != core {
 		return
 	}
-	d.banks[d.bm.Of(line)].stats.Downgrades.Inc()
+	d.stats.Downgrades.Inc()
 	e.ownerP1 = 0
 	e.sharers |= 1 << uint(core)
 }
@@ -365,28 +289,23 @@ func (d *Directory) Drop(line sim.Line, core int) {
 	if e == nil || !e.live() {
 		return
 	}
-	bk := &d.banks[d.bm.Of(line)]
-	bk.stats.Drops.Inc()
+	d.stats.Drops.Inc()
 	if e.owner() == core {
 		e.ownerP1 = 0
 	}
 	e.sharers &^= 1 << uint(core)
 	if !e.live() {
-		bk.tracked--
+		d.tracked--
 	}
 }
+
+// Stats returns the protocol message mix.
+func (d *Directory) Stats() DirStats { return d.stats }
 
 // HoldsModified reports whether core owns line in Modified state.
 func (d *Directory) HoldsModified(line sim.Line, core int) bool {
 	return d.Owner(line) == core
 }
 
-// Tracked returns the number of lines with any cached copy, summed over
-// banks in bank-ID order (tests).
-func (d *Directory) Tracked() int {
-	n := 0
-	for b := range d.banks {
-		n += d.banks[b].tracked
-	}
-	return n
-}
+// Tracked returns the number of lines with any cached copy (tests).
+func (d *Directory) Tracked() int { return d.tracked }

@@ -225,24 +225,7 @@ func RunManyWith(specs []Spec, o BatchOptions) ([]*Outcome, error) {
 // specs with observability or fault-injection outputs fall through to a
 // cold Run.
 func RunCached(spec Spec) (*Outcome, error) {
-	return runCachedSpec(spec, nil, BatchOptions{}, soloShardCap())
-}
-
-// soloShardCap is the shard bound for a run with no concurrent batch
-// siblings: the whole host.
-func soloShardCap() int { return runtime.GOMAXPROCS(0) }
-
-// clampShards bounds a run's effective shard count to cap, counting
-// every clamp that actually bit (FleetStats.ShardClamps). Shards never
-// affect simulation results, so clamping is invisible beyond host
-// throughput; the floor is 1 because Shards>=1 selects the window
-// engine and only 0 selects the classic sequential loop.
-func clampShards(shards, cap int) int {
-	if shards > cap && cap >= 1 {
-		fleetShardClamps.Add(1)
-		return cap
-	}
-	return shards
+	return runCachedSpec(spec, nil, BatchOptions{})
 }
 
 // runBatch is the fleet engine: one goroutine per worker, each holding
@@ -259,14 +242,6 @@ func runBatch(specs []Spec, o BatchOptions) ([]*Outcome, []error) {
 	}
 	if workers > len(specs) {
 		workers = len(specs)
-	}
-	// With J batch workers each possibly running a K-shard machine, the
-	// host would service J*K runnable goroutines; cap each run's shards
-	// so J*K never exceeds GOMAXPROCS (shards are a pure host-throughput
-	// knob, so the clamp cannot change any outcome).
-	shardCap := runtime.GOMAXPROCS(0) / workers
-	if shardCap < 1 {
-		shardCap = 1
 	}
 	ctx := o.Context
 	if ctx == nil {
@@ -300,7 +275,7 @@ func runBatch(specs []Spec, o BatchOptions) ([]*Outcome, []error) {
 					return
 				}
 				i := order[n]
-				outcomes[i], errs[i] = runCachedSpec(specs[i], arena, o, shardCap)
+				outcomes[i], errs[i] = runCachedSpec(specs[i], arena, o)
 				if errs[i] != nil {
 					failed.Store(true)
 				} else {
@@ -428,7 +403,7 @@ func (a *machineArena) keep(m *htm.Machine) {
 	for _, c := range m.Cores {
 		l1s = append(l1s, c.L1)
 	}
-	a.pre = htm.Prebuilt{Dir: m.Dir, Redirect: m.Redirect, L2: m.L2, L1s: l1s, Par: m.ParArena()}
+	a.pre = htm.Prebuilt{Dir: m.Dir, Redirect: m.Redirect, L2: m.L2, L1s: l1s}
 }
 
 // ---------------------------------------------------------------------
@@ -442,7 +417,6 @@ var (
 	fleetHitSeq      atomic.Uint64
 	fleetVerified    atomic.Uint64
 	fleetArenaReuses atomic.Uint64
-	fleetShardClamps atomic.Uint64
 
 	fleetWorkloadReplays atomic.Uint64
 )
@@ -486,7 +460,6 @@ func ResetRunCache() error {
 	fleetHitSeq.Store(0)
 	fleetVerified.Store(0)
 	fleetArenaReuses.Store(0)
-	fleetShardClamps.Store(0)
 	fleetWorkloadReplays.Store(0)
 	return nil
 }
@@ -498,7 +471,6 @@ type FleetStats struct {
 	runcache.Stats
 	Verified    uint64 // cache hits cross-checked against a live re-run
 	ArenaReuses uint64 // machine constructions served from a warm arena
-	ShardClamps uint64 // runs whose Spec.Shards was reduced to fit GOMAXPROCS
 
 	WorkloadReplays uint64 // workload generations served by journal replay
 }
@@ -509,7 +481,6 @@ func FleetSnapshot() FleetStats {
 		Stats:       fleetCache.Load().Stats(),
 		Verified:    fleetVerified.Load(),
 		ArenaReuses: fleetArenaReuses.Load(),
-		ShardClamps: fleetShardClamps.Load(),
 
 		WorkloadReplays: fleetWorkloadReplays.Load(),
 	}
@@ -518,8 +489,8 @@ func FleetSnapshot() FleetStats {
 // String renders the counters as the one-line summary the sweep
 // commands print.
 func (s FleetStats) String() string {
-	return fmt.Sprintf("fleet: %d cache hits (%d from disk), %d misses, %d bypasses, %d verified, %d corrupt entries, %d arena reuses, %d workload replays, %d shard clamps",
-		s.Hits, s.DiskHits, s.Misses, s.Bypasses, s.Verified, s.Corrupt, s.ArenaReuses, s.WorkloadReplays, s.ShardClamps)
+	return fmt.Sprintf("fleet: %d cache hits (%d from disk), %d misses, %d bypasses, %d verified, %d corrupt entries, %d arena reuses, %d workload replays",
+		s.Hits, s.DiskHits, s.Misses, s.Bypasses, s.Verified, s.Corrupt, s.ArenaReuses, s.WorkloadReplays)
 }
 
 // Cacheable reports whether spec is a pure run the cache may serve.
@@ -573,11 +544,6 @@ func fingerprintOf(spec Spec) (runcache.Key, error) {
 	if spec.Tweak != nil {
 		spec.Tweak(&cfg)
 	}
-	// Shards and Banks are host-throughput knobs with bit-identical
-	// results, so sharded/banked and sequential/monolithic runs share
-	// one cache entry.
-	cfg.Shards = 0
-	cfg.Banks = 0
 	var planText string
 	if plan != nil {
 		var err error
@@ -592,31 +558,31 @@ func fingerprintOf(spec Spec) (runcache.Key, error) {
 // runCachedSpec is runSpec behind the cache: bypass impure specs, serve
 // hits (spot-checking when armed), run concurrent misses on one
 // fingerprint once, and store successful invariant-clean outcomes.
-func runCachedSpec(spec Spec, arena *machineArena, o BatchOptions, shardCap int) (*Outcome, error) {
+func runCachedSpec(spec Spec, arena *machineArena, o BatchOptions) (*Outcome, error) {
 	if o.NoCache {
-		return runSpec(spec, arena, shardCap)
+		return runSpec(spec, arena)
 	}
 	c := fleetCache.Load()
 	if !Cacheable(spec) {
 		c.Bypass()
-		return runSpec(spec, arena, shardCap)
+		return runSpec(spec, arena)
 	}
 	key, err := fingerprintOf(spec)
 	if err != nil {
 		// Fingerprinting failed (unresolvable spec); let the live path
 		// produce the authoritative error.
-		return runSpec(spec, arena, shardCap)
+		return runSpec(spec, arena)
 	}
 	e, ok := c.Get(key)
 	if !ok {
 		var out *Outcome
-		if e, out, err = runMiss(c, key, spec, arena, shardCap); e == nil {
+		if e, out, err = runMiss(c, key, spec, arena); e == nil {
 			return out, err
 		}
 	}
 	if every := fleetVerifyEvery.Load(); every > 0 {
 		if n := fleetHitSeq.Add(1); (n-1)%uint64(every) == 0 {
-			fresh, ferr := runSpec(spec, arena, shardCap)
+			fresh, ferr := runSpec(spec, arena)
 			if ferr != nil {
 				return fresh, fmt.Errorf("runcache verify: live re-run failed: %w", ferr)
 			}
@@ -642,7 +608,7 @@ var (
 // leader and is then served the stored entry as a hit; when the leader
 // stored nothing (an error or a failed check), it runs the spec itself.
 // A non-nil entry means the miss was served from the cache.
-func runMiss(c *runcache.Cache, key runcache.Key, spec Spec, arena *machineArena, shardCap int) (*runcache.Entry, *Outcome, error) {
+func runMiss(c *runcache.Cache, key runcache.Key, spec Spec, arena *machineArena) (*runcache.Entry, *Outcome, error) {
 	flightsMu.Lock()
 	f, follow := flights[key]
 	if !follow {
@@ -665,7 +631,7 @@ func runMiss(c *runcache.Cache, key runcache.Key, spec Spec, arena *machineArena
 	if e, ok := c.Coalesced(key); ok {
 		return e, nil, nil
 	}
-	out, err := runSpec(spec, arena, shardCap)
+	out, err := runSpec(spec, arena)
 	if err == nil && out.CheckErr == nil {
 		// A disk-write failure degrades the cache, not the run: the
 		// entry still serves from memory, so the error is dropped.

@@ -100,19 +100,6 @@ type Spec struct {
 	// conflict report (Outcome.Forensics). Forensic runs always bypass
 	// the run cache: the report lives outside the cached entry.
 	Forensics bool
-	// Shards engages the machine's deterministic parallel window engine
-	// (htm.Config.Shards): results are bit-identical for every value, so
-	// this is purely a host-throughput knob and is excluded from the run
-	// cache fingerprint. The fleet clamps it so batch workers times
-	// per-run shard workers never oversubscribe GOMAXPROCS (the clamp is
-	// counted in FleetStats.ShardClamps).
-	Shards int
-	// Banks overrides the directory/L2 bank count (htm.Config.Banks).
-	// Like Shards it is a host-structure knob with bit-identical results
-	// for every value, excluded from the run cache fingerprint; it only
-	// moves the window engine's certification rate (bank sweeps in
-	// EXPERIMENTS.md). 0 keeps the default.
-	Banks int
 	// ForensicsTopK bounds the report's hot-site and hot-line tables
 	// (0 = the forensics default).
 	ForensicsTopK int
@@ -155,23 +142,16 @@ type Outcome struct {
 	Series    *metrics.Series      // non-nil when SampleInterval > 0
 	Chrome    *metrics.ChromeTrace // non-nil when ChromeTrace was set
 	Forensics *forensics.Report    // non-nil when Spec.Forensics was set
-
-	// Parallel reports how much of the run the parallel window engine
-	// covered and why the remainder fell back to the sequential engine
-	// (zero-valued for sequential runs and cache-served outcomes).
-	Parallel htm.ParallelStats
 }
 
 // Run executes one simulation, cold: fresh memory, directory and
 // redirect state, no cache involvement. The fleet layer (RunMany,
 // RunManyWith, RunCached) builds on runSpec to add arenas and caching.
-func Run(spec Spec) (*Outcome, error) { return runSpec(spec, nil, soloShardCap()) }
+func Run(spec Spec) (*Outcome, error) { return runSpec(spec, nil) }
 
 // runSpec executes one simulation, drawing the big allocations from
-// arena when non-nil (the per-worker reuse path of runBatch). shardCap
-// bounds the run's effective Shards so concurrent batch workers never
-// oversubscribe the host (see clampShards).
-func runSpec(spec Spec, arena *machineArena, shardCap int) (*Outcome, error) {
+// arena when non-nil (the per-worker reuse path of runBatch).
+func runSpec(spec Spec, arena *machineArena) (*Outcome, error) {
 	cores, seed, scale := spec.resolved()
 	gen, err := workload.Get(spec.App)
 	if err != nil {
@@ -220,12 +200,9 @@ func runSpec(spec Spec, arena *machineArena, shardCap int) (*Outcome, error) {
 		// to survive.
 		cfg = cfg.WithProgressLadder()
 	}
-	cfg.Shards = spec.Shards
-	cfg.Banks = spec.Banks
 	if spec.Tweak != nil {
 		spec.Tweak(&cfg)
 	}
-	cfg.Shards = clampShards(cfg.Shards, shardCap)
 	machine := htm.NewWith(cfg, vm, app.Programs, memory, alloc, pre)
 	if arena != nil {
 		arena.keep(machine)
@@ -268,7 +245,6 @@ func runSpec(spec Spec, arena *machineArena, shardCap int) (*Outcome, error) {
 		PoolPages:  machine.Redirect.Pool().Pages(),
 		RedirectEn: machine.Redirect.EntryCount(),
 		Chrome:     chrome,
-		Parallel:   machine.ParallelStats(),
 	}
 	if spec.TraceEvents > 0 {
 		out.Trace = rec

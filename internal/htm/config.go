@@ -117,55 +117,6 @@ type Config struct {
 	// remains as the last-resort backstop, now returning a typed
 	// *WatchdogError with per-core diagnostics.
 	MaxCycles sim.Cycles
-
-	// Shards engages the deterministic parallel window engine for this
-	// run (parallel.go): cores and their tile-local state are grouped
-	// into Shards contiguous mesh blocks that execute provably-local
-	// instruction chains concurrently inside conservative time windows
-	// bounded by the mesh lookahead. 0 (the default) runs the classic
-	// sequential event loop. Results are bit-identical for every value —
-	// Shards is a host-throughput knob, never a model parameter — and
-	// runs the engine cannot parallelize (fault injection, tracing,
-	// schemes without a LocalPeeker) fall back to the sequential loop.
-	Shards int
-
-	// Banks partitions the coherence directory and the shared L2 into
-	// this many independent banks keyed by one deterministic line→bank
-	// map (the top bits of the L2 set index). Like Shards it is a
-	// host-structure knob, never a model parameter: every bank count
-	// yields bit-identical results (the partition is exact and per-bank
-	// stats merge in bank-ID order), but cross-core window chains can
-	// only execute concurrently when their footprints are bank-disjoint,
-	// so more banks means more windows survive certification. 0 resolves
-	// to 16 (rounded down to a power of two and clamped to the L2 set
-	// count when overridden). The default is 16 rather than the core
-	// count because the bank stripe repeats every L2-way-size bytes
-	// (1 MB here): eight 128 KB-aligned per-core arenas span that whole
-	// period, so at 8 banks any shared region is forced onto some
-	// core's stripe, while at 16 the 64 KB stripes leave room for
-	// shared structures on stripes no private arena touches.
-	Banks int
-}
-
-// resolvedBanks returns the effective directory/L2 bank count: the
-// configured value with the default applied, rounded down to a power of
-// two and clamped to the L2 set count so the bank bits fit inside the
-// set index.
-func (c Config) resolvedBanks() int {
-	b := c.Banks
-	if b <= 0 {
-		b = 16
-	}
-	for b&(b-1) != 0 {
-		b &= b - 1
-	}
-	if sets := c.L2.Sets(); b > sets {
-		b = sets
-	}
-	if b < 1 {
-		b = 1
-	}
-	return b
 }
 
 // DefaultConfig returns the paper's Table III configuration for the given

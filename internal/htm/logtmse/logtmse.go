@@ -155,53 +155,6 @@ func (v *VM) Abort(m *htm.Machine, c *htm.Core) sim.Cycles {
 // signatures virtualize evicted transactional state.
 func (v *VM) OnSpecEviction(m *htm.Machine, c *htm.Core, line sim.Line) {}
 
-// PeekLoad implements htm.LocalPeeker: LogTM-SE loads are always
-// in-place, zero-extra-latency word reads (Translate is the identity).
-func (v *VM) PeekLoad(m *htm.Machine, c *htm.Core, line sim.Line) htm.AccessPeek {
-	return htm.AccessPeek{Target: line, Lat: 0, OK: true}
-}
-
-// PeekStore implements htm.LocalPeeker: a store is core-local unless it
-// is the first transactional touch of the line, which appends the undo
-// record through AccessPrivate (L2 and directory traffic). Already
-// logged lines — and all non-transactional stores — write in place.
-// A certified store never mutates the first-touch map, so the
-// classification is stable across the window.
-func (v *VM) PeekStore(m *htm.Machine, c *htm.Core, line sim.Line) htm.AccessPeek {
-	if c.TxActive() {
-		if _, seen := v.st[c.ID].logged[line]; !seen {
-			return htm.AccessPeek{}
-		}
-	}
-	return htm.AccessPeek{Target: line, Lat: 0, OK: true}
-}
-
-// PeekDirOp implements htm.LocalPeeker: LogTM-SE keeps no per-line
-// state at the directory or the L2, so every coherence request is
-// scheme-neutral and carries no extra latency.
-func (v *VM) PeekDirOp(m *htm.Machine, c *htm.Core, line sim.Line, write bool) htm.AccessPeek {
-	return htm.AccessPeek{Target: line, Lat: 0, OK: true}
-}
-
-// DirOpLocal implements htm.LocalPeeker: nothing to do (see PeekDirOp).
-func (v *VM) DirOpLocal(m *htm.Machine, c *htm.Core, line sim.Line, write bool) sim.Cycles {
-	return 0
-}
-
-// LoadLocal implements htm.LocalPeeker: Translate is the identity and a
-// load is a plain in-place word read.
-func (v *VM) LoadLocal(m *htm.Machine, c *htm.Core, addr sim.Addr) (sim.Word, sim.Cycles) {
-	return m.Memory.Read(addr), 0
-}
-
-// StoreLocal implements htm.LocalPeeker: a certified store is either
-// non-transactional or to an already-logged line, so the first-touch
-// branch of Store is dead and only the in-place write remains.
-func (v *VM) StoreLocal(m *htm.Machine, c *htm.Core, addr sim.Addr, val sim.Word) sim.Cycles {
-	m.Memory.Write(addr, val)
-	return 0
-}
-
 func (v *VM) reset(id int) {
 	s := &v.st[id]
 	s.log = s.log[:0]

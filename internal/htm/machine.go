@@ -56,12 +56,6 @@ type Machine struct {
 	tokenCore    int
 	tokenWaiting []int
 	nextCheckAt  sim.Cycles
-
-	// par is the deterministic parallel window engine (parallel.go),
-	// non-nil only while a Shards>=1 run is using it; prePar is the
-	// arena its scratch is drawn from and returned to (Prebuilt.Par).
-	par    *parEngine
-	prePar *ParArena
 }
 
 type barrierState struct {
@@ -88,12 +82,21 @@ type Prebuilt struct {
 	Redirect *redirect.Redirect
 	L2       *mem.Cache
 	L1s      []*mem.Cache // per-core; shorter slices fall back to fresh L1s
-	// Par retains the parallel window engine's scratch (sharded heaps,
-	// per-core window parts, bank claim tables) across runs; nil builds
-	// fresh on first sharded run. Purely host-side state: reuse cannot
-	// affect simulated results.
+
+	// Deprecated: Par is ignored; the machine keeps no engine scratch.
 	Par *ParArena
 }
+
+// ParArena is an empty placeholder kept so callers that still fill
+// Prebuilt.Par from (*Machine).ParArena compile.
+//
+// Deprecated: the machine has no engine scratch to retain.
+type ParArena struct{}
+
+// ParArena returns nil.
+//
+// Deprecated: see the ParArena type.
+func (m *Machine) ParArena() *ParArena { return nil }
 
 // New builds a machine executing one program per core under vm. Programs
 // beyond cfg.Cores are rejected; fewer programs leave the extra cores
@@ -107,20 +110,11 @@ func NewWith(cfg Config, vm VersionManager, programs []workload.Program, memory 
 	if len(programs) > cfg.Cores {
 		panic(fmt.Sprintf("htm: %d programs for %d cores", len(programs), cfg.Cores))
 	}
-	// One line→bank map serves the directory and the L2: the bank bits
-	// are the top log2(banks) bits of the L2 set index, so "bank b" names
-	// the same address stripe in both structures and one claim in the
-	// window engine covers both.
-	banks := cfg.resolvedBanks()
-	bankShift := uint(0)
-	for 1<<bankShift < cfg.L2.Sets()/banks {
-		bankShift++
-	}
 	dir := pre.Dir
 	if dir == nil {
-		dir = coherence.NewDirectoryBanked(cfg.Cores, banks, bankShift)
+		dir = coherence.NewDirectory(cfg.Cores)
 	} else {
-		dir.ResetBanked(cfg.Cores, banks, bankShift)
+		dir.Reset(cfg.Cores)
 	}
 	rd := pre.Redirect
 	if rd == nil {
@@ -128,13 +122,11 @@ func NewWith(cfg Config, vm VersionManager, programs []workload.Program, memory 
 	} else {
 		rd.Reset(cfg.Redirect, alloc)
 	}
-	l2cfg := cfg.L2
-	l2cfg.Banks = banks
 	l2 := pre.L2
 	if l2 == nil {
-		l2 = mem.NewCache(l2cfg)
+		l2 = mem.NewCache(cfg.L2)
 	} else {
-		l2.Reset(l2cfg)
+		l2.Reset(cfg.L2)
 	}
 	m := &Machine{
 		cfg:       cfg,
@@ -149,7 +141,6 @@ func NewWith(cfg Config, vm VersionManager, programs []workload.Program, memory 
 		barriers:  make(map[uint32]*barrierState),
 		tokenCore: -1,
 	}
-	m.prePar = pre.Par
 	m.Dir.Retry = coherence.RetryPolicy{Timeout: cfg.ProtocolTimeout, MaxRetries: cfg.MeshMaxRetries}
 	rng := sim.NewRNG(cfg.Seed)
 	for i := 0; i < cfg.Cores; i++ {
@@ -167,13 +158,13 @@ func NewWith(cfg Config, vm VersionManager, programs []workload.Program, memory 
 				killer: forensics.NoCore, killerSite: forensics.NoSite,
 				line: forensics.NoLine,
 			},
-			RNG:       rng.Fork(),
-			L1:        l1,
-			TLB:       mem.NewTLB(cfg.TLBEntries),
-			ReadSig:   signature.NewBloom(cfg.SigBits, signature.HashH3),
-			WriteSig:  signature.NewBloom(cfg.SigBits, signature.HashH3),
-			readSet:   sim.NewLineSet(),
-			writeSet:  sim.NewLineSet(),
+			RNG:      rng.Fork(),
+			L1:       l1,
+			TLB:      mem.NewTLB(cfg.TLBEntries),
+			ReadSig:  signature.NewBloom(cfg.SigBits, signature.HashH3),
+			WriteSig: signature.NewBloom(cfg.SigBits, signature.HashH3),
+			readSet:  sim.NewLineSet(),
+			writeSet: sim.NewLineSet(),
 		}
 		c.writtenTargets = sim.NewLineSet()
 		if i < len(programs) {
@@ -231,9 +222,6 @@ func (m *Machine) Now() sim.Cycles { return m.now }
 // result. It fails if the watchdog fires or the cores deadlock on a
 // mismatched barrier.
 func (m *Machine) Run() (*Result, error) {
-	if m.parallelEligible() {
-		return m.runParallel()
-	}
 	for i, c := range m.Cores {
 		if c.atEnd() {
 			c.status = statusFinished
@@ -261,12 +249,6 @@ func (m *Machine) Run() (*Result, error) {
 	if m.finished != len(m.Cores) {
 		return nil, m.failRun(&DeadlockError{Finished: m.finished, Total: len(m.Cores), At: m.now, Cores: m.snapshotCores()})
 	}
-	return m.buildResult(), nil
-}
-
-// buildResult aggregates the per-core breakdowns into the run result
-// once every core has finished; both engines end through it.
-func (m *Machine) buildResult() *Result {
 	res := &Result{PerCore: make([]stats.Breakdown, len(m.Cores))}
 	var end sim.Cycles
 	for _, c := range m.Cores {
@@ -286,7 +268,7 @@ func (m *Machine) buildResult() *Result {
 	if m.obs != nil {
 		m.obs.finish(m, end)
 	}
-	return res
+	return res, nil
 }
 
 // failRun finalizes a failed run before the error propagates: the

@@ -136,7 +136,7 @@ func (o *observer) onAbort(m *Machine, c *Core) {
 func (o *observer) finish(m *Machine, end uint64) {
 	o.col.Finish(end)
 
-	ds := m.Dir.Stats() // banks merged in bank-ID order
+	ds := m.Dir.Stats()
 	o.col.AddBreakout("dir.mix", []metrics.LabeledValue{
 		{Label: "GETS", Value: float64(ds.GETS.Value())},
 		{Label: "GETM", Value: float64(ds.GETM.Value())},

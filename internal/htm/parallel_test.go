@@ -1,8 +1,9 @@
 package htm_test
 
 import (
+	"fmt"
 	"reflect"
-	"runtime"
+	"sync"
 	"testing"
 
 	"suvtm/internal/htm"
@@ -10,52 +11,42 @@ import (
 	"suvtm/internal/htm/logtmse"
 	"suvtm/internal/htm/suvtm"
 	"suvtm/internal/mem"
-	"suvtm/internal/parrun"
+	"suvtm/internal/sim"
 	"suvtm/internal/workload"
 )
 
-// parRun generates app and runs it with the given shard count,
-// returning the machine, result, and final memory image.
-func parRun(t *testing.T, app string, vm htm.VersionManager, cores int, scale float64, shards int) (*htm.Machine, *htm.Result, *mem.Memory) {
-	t.Helper()
-	return parRunBanked(t, app, vm, cores, scale, shards, 0)
-}
-
-// parRunBanked is parRun with an explicit directory/L2 bank count.
-func parRunBanked(t *testing.T, app string, vm htm.VersionManager, cores int, scale float64, shards, banks int) (*htm.Machine, *htm.Result, *mem.Memory) {
-	t.Helper()
+// soloRun generates app on fresh memory and runs it to completion,
+// returning the result and the final memory image. It reports failure
+// as an error rather than through t so it can run on any goroutine.
+func soloRun(app string, vm htm.VersionManager, cores int, scale float64) (*htm.Result, map[sim.Addr]sim.Word, error) {
 	memory := mem.NewMemory()
 	alloc := mem.NewAllocator(arenaHeapBase, arenaHeapSize)
 	gen, err := workload.Get(app)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	a := gen(workload.GenConfig{Cores: cores, Seed: 1, Scale: scale}, alloc, memory)
-	cfg := htm.DefaultConfig(cores)
-	cfg.Shards = shards
-	cfg.Banks = banks
-	m := htm.New(cfg, vm, a.Programs, memory, alloc)
+	m := htm.New(htm.DefaultConfig(cores), vm, a.Programs, memory, alloc)
 	res, err := m.Run()
 	if err != nil {
-		t.Fatalf("%s shards=%d: %v", app, shards, err)
+		return nil, nil, fmt.Errorf("%s: %v", app, err)
 	}
 	if err := a.Check(m.ArchMem()); err != nil {
-		t.Fatalf("%s shards=%d: %v", app, shards, err)
+		return nil, nil, fmt.Errorf("%s: %v", app, err)
 	}
-	return m, res, memory
+	return res, memory.Snapshot(), nil
 }
 
-// TestParallelBitIdentical is the acceptance gate for the parallel
-// window engine: for every scheme with a LocalPeeker and a spread of
-// workloads, a run at each shard count must be bit-identical to the
-// sequential engine — same Result (cycles, aggregate and per-core
+// TestParallelBitIdentical pins that machines share no mutable state:
+// for every scheme and a spread of workloads, machines built from the
+// same spec and run at the same time on separate goroutines — the way
+// the fleet, suvd and sweep run specs — must each be bit-identical to
+// a run made alone: same Result (cycles, aggregate and per-core
 // breakdowns, counters) and same final memory image, word for word.
+// Under -race it also catches package-level state that one machine
+// writes while another reads it.
 func TestParallelBitIdentical(t *testing.T) {
-	shardCounts := []int{1, 2, 4, runtime.NumCPU()}
-	// Force multiple workers even on small hosts so -race runs exercise
-	// real cross-goroutine windows.
-	prev := parrun.SetForcedWorkersForTest(4)
-	defer parrun.SetForcedWorkersForTest(prev)
+	const runners = 4
 
 	cases := []struct {
 		app    string
@@ -75,185 +66,54 @@ func TestParallelBitIdentical(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.app+"/"+tc.scheme, func(t *testing.T) {
-			_, want, seqMem := parRun(t, tc.app, tc.mk(), tc.cores, tc.scale, 0)
-			wantImage := seqMem.Snapshot()
-			for _, k := range shardCounts {
-				m, got, parMem := parRun(t, tc.app, tc.mk(), tc.cores, tc.scale, k)
+			want, wantImage, err := soloRun(tc.app, tc.mk(), tc.cores, tc.scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			type outcome struct {
+				res   *htm.Result
+				image map[sim.Addr]sim.Word
+				err   error
+			}
+			outs := make([]outcome, runners)
+			var wg sync.WaitGroup
+			for i := range outs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					o := &outs[i]
+					o.res, o.image, o.err = soloRun(tc.app, tc.mk(), tc.cores, tc.scale)
+				}()
+			}
+			wg.Wait()
+
+			for i, o := range outs {
+				if o.err != nil {
+					t.Fatalf("runner %d: %v", i, o.err)
+				}
+				got := o.res
 				if got.Cycles != want.Cycles {
-					t.Errorf("shards=%d: cycles %d, sequential %d", k, got.Cycles, want.Cycles)
+					t.Errorf("runner %d: cycles %d, alone %d", i, got.Cycles, want.Cycles)
 				}
 				if got.Breakdown != want.Breakdown {
-					t.Errorf("shards=%d: breakdown diverged:\npar %+v\nseq %+v", k, got.Breakdown, want.Breakdown)
+					t.Errorf("runner %d: breakdown diverged:\nconcurrent %+v\nalone      %+v", i, got.Breakdown, want.Breakdown)
 				}
 				if got.Counters != want.Counters {
-					t.Errorf("shards=%d: counters diverged:\npar %+v\nseq %+v", k, got.Counters, want.Counters)
+					t.Errorf("runner %d: counters diverged:\nconcurrent %+v\nalone      %+v", i, got.Counters, want.Counters)
 				}
 				if !reflect.DeepEqual(got.PerCore, want.PerCore) {
-					t.Errorf("shards=%d: per-core breakdowns diverged", k)
+					t.Errorf("runner %d: per-core breakdowns diverged", i)
 				}
-				gotImage := parMem.Snapshot()
-				if len(gotImage) != len(wantImage) {
-					t.Fatalf("shards=%d: memory image %d words, sequential %d", k, len(gotImage), len(wantImage))
+				if len(o.image) != len(wantImage) {
+					t.Fatalf("runner %d: memory image %d words, alone %d", i, len(o.image), len(wantImage))
 				}
 				for addr, w := range wantImage {
-					if gotImage[addr] != w {
-						t.Fatalf("shards=%d: memory diverged at %#x: par %#x, seq %#x", k, addr, gotImage[addr], w)
-					}
-				}
-				ps := m.ParallelStats()
-				if ps.Shards == 0 {
-					t.Fatalf("shards=%d: parallel engine did not engage", k)
-				}
-			}
-		})
-	}
-}
-
-// TestParallelBitIdenticalBanks is the bank-count half of the identity
-// gate: Banks, like Shards, is a host-structure knob, so for a fixed
-// workload every (shards, banks) combination must reproduce the
-// sequential default-bank run bit for bit — fewer banks may only cost
-// window certifications (more fallbacks), never change a simulated
-// cycle. intruderscan is the adversarial case: its layout deliberately
-// stresses bank placement, so any banking leak shows up here first.
-func TestParallelBitIdenticalBanks(t *testing.T) {
-	prev := parrun.SetForcedWorkersForTest(4)
-	defer parrun.SetForcedWorkersForTest(prev)
-
-	cases := []struct {
-		app   string
-		cores int
-		scale float64
-	}{
-		{"sessionstore", 4, 0.2},
-		{"intruderscan", 4, 0.25},
-	}
-	for _, tc := range cases {
-		t.Run(tc.app, func(t *testing.T) {
-			_, want, seqMem := parRun(t, tc.app, suvtm.New(), tc.cores, tc.scale, 0)
-			wantImage := seqMem.Snapshot()
-			for _, banks := range []int{1, 2, 4, 8, 16} {
-				for _, shards := range []int{0, 4} {
-					m, got, parMem := parRunBanked(t, tc.app, suvtm.New(), tc.cores, tc.scale, shards, banks)
-					if got.Cycles != want.Cycles {
-						t.Errorf("banks=%d shards=%d: cycles %d, reference %d", banks, shards, got.Cycles, want.Cycles)
-					}
-					if got.Counters != want.Counters {
-						t.Errorf("banks=%d shards=%d: counters diverged:\ngot %+v\nref %+v", banks, shards, got.Counters, want.Counters)
-					}
-					if !reflect.DeepEqual(got.PerCore, want.PerCore) {
-						t.Errorf("banks=%d shards=%d: per-core breakdowns diverged", banks, shards)
-					}
-					gotImage := parMem.Snapshot()
-					for addr, w := range wantImage {
-						if gotImage[addr] != w {
-							t.Fatalf("banks=%d shards=%d: memory diverged at %#x", banks, shards, addr)
-						}
-					}
-					if ps := m.ParallelStats(); shards != 0 && ps.Shards == 0 {
-						t.Fatalf("banks=%d shards=%d: parallel engine did not engage", banks, shards)
+					if o.image[addr] != w {
+						t.Fatalf("runner %d: memory diverged at %#x: concurrent %#x, alone %#x", i, addr, o.image[addr], w)
 					}
 				}
 			}
 		})
-	}
-}
-
-// TestParallelVerifyChains runs one steady-state workload per scheme
-// with the parVerifyChains debug switch armed: every scanned op's
-// certified latency is cross-checked against what execution actually
-// charges, and hit-path scheme work is routed through the full VM path
-// with identity-translation panics armed. It is the runtime counterpart
-// of the static peekpure certification — peekpure proves the Peek*
-// methods mutate nothing, this test proves what they answer matches
-// what execution then observes — and keeps the verify mode itself from
-// rotting (it used to be a hand-flipped constant, compiled out in CI).
-func TestParallelVerifyChains(t *testing.T) {
-	prevVerify := htm.SetParVerifyChainsForTest(true)
-	defer htm.SetParVerifyChainsForTest(prevVerify)
-	prev := parrun.SetForcedWorkersForTest(4)
-	defer parrun.SetForcedWorkersForTest(prev)
-
-	cases := []struct {
-		scheme string
-		mk     func() htm.VersionManager
-	}{
-		{"SUV-TM", func() htm.VersionManager { return suvtm.New() }},
-		{"LogTM-SE", func() htm.VersionManager { return logtmse.New() }},
-		{"FasTM", func() htm.VersionManager { return fastm.New() }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.scheme, func(t *testing.T) {
-			// A verify-mode disagreement panics inside Run; reaching the
-			// identity checks below means every chain survived them.
-			_, want, seqMem := parRun(t, "sessionstore", tc.mk(), 4, 0.2, 0)
-			m, got, parMem := parRun(t, "sessionstore", tc.mk(), 4, 0.2, 4)
-			if got.Cycles != want.Cycles {
-				t.Errorf("verify mode: cycles %d, sequential %d", got.Cycles, want.Cycles)
-			}
-			if got.Counters != want.Counters {
-				t.Errorf("verify mode: counters diverged:\npar %+v\nseq %+v", got.Counters, want.Counters)
-			}
-			wantImage := seqMem.Snapshot()
-			gotImage := parMem.Snapshot()
-			for addr, w := range wantImage {
-				if gotImage[addr] != w {
-					t.Fatalf("verify mode: memory diverged at %#x", addr)
-				}
-			}
-			ps := m.ParallelStats()
-			if ps.Windows == 0 {
-				t.Fatal("verify mode: no windows executed — the switch was never exercised")
-			}
-		})
-	}
-}
-
-// TestParallelEngagement pins down that the engine actually executes
-// windows (not just falls through to sequential pops) on the workload
-// built for it, and that the per-run counters are coherent.
-func TestParallelEngagement(t *testing.T) {
-	m, _, _ := parRun(t, "sessionstore", suvtm.New(), 4, 0.5, 4)
-	ps := m.ParallelStats()
-	if ps.Shards != 4 {
-		t.Fatalf("Shards = %d, want 4", ps.Shards)
-	}
-	if ps.Workers < 1 {
-		t.Fatalf("Workers = %d, want >= 1", ps.Workers)
-	}
-	if ps.Windows == 0 {
-		t.Fatal("no windows executed on the window-friendly workload")
-	}
-	if ps.ChainOps == 0 {
-		t.Fatal("windows executed but no chain ops recorded")
-	}
-	if ps.Attempts < ps.Windows {
-		t.Fatalf("Attempts (%d) < Windows (%d)", ps.Attempts, ps.Windows)
-	}
-	t.Logf("shards=%d workers=%d windows=%d chainOps=%d seqSteps=%d attempts=%d",
-		ps.Shards, ps.Workers, ps.Windows, ps.ChainOps, ps.SeqSteps, ps.Attempts)
-}
-
-// TestParallelIneligibleFallsBack checks that runs the engine cannot
-// parallelize (a scheme without a LocalPeeker, or attached observers)
-// silently use the sequential loop.
-func TestParallelIneligibleFallsBack(t *testing.T) {
-	// DynTM has no LocalPeeker: Shards must be ignored.
-	memory := mem.NewMemory()
-	alloc := mem.NewAllocator(arenaHeapBase, arenaHeapSize)
-	gen, err := workload.Get("counter")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := gen(workload.GenConfig{Cores: 2, Seed: 1, Scale: 0.05}, alloc, memory)
-	cfg := htm.DefaultConfig(2)
-	cfg.Shards = 4
-	cfg.CheckInterval = 1000 // observers also force the sequential loop
-	m := htm.New(cfg, suvtm.New(), a.Programs, memory, alloc)
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ps := m.ParallelStats(); ps.Shards != 0 {
-		t.Fatalf("engine engaged despite CheckInterval: %+v", ps)
 	}
 }

@@ -99,68 +99,3 @@ type VersionManager interface {
 	// c's L1 during a transaction (FasTM degenerates to LogTM-SE).
 	OnSpecEviction(m *Machine, c *Core, line sim.Line)
 }
-
-// AccessPeek is a LocalPeeker's answer for one prospective access: the
-// physical line the access will use and the exact scheme latency it
-// will charge (Translate plus Load/Store), valid only when OK is true.
-type AccessPeek struct {
-	Target sim.Line
-	Lat    sim.Cycles
-	OK     bool
-}
-
-// LocalPeeker is the optional VersionManager extension that powers the
-// parallel window engine (parallel.go). PeekLoad/PeekStore answer, with
-// NO side effects of any kind, whether an access by c to line would be
-// purely core-local under the scheme: Translate would touch nothing but
-// c's own counters, Load/Store would touch nothing but c's own state
-// and the (already materialized) word in flat memory, and the combined
-// scheme latency would be exactly Lat with the data landing on exactly
-// Target. Any access the scheme cannot certify — redirected lines,
-// first-touch transactional stores, anything that walks shared tables —
-// must answer OK=false; the engine then runs it sequentially. Certified
-// accesses are identity-mapped: an OK answer carries Target == line
-// (the execution fast path relies on it, and parVerifyChains checks it).
-//
-// The contract has two more clauses the engine's soundness depends on:
-// the classification inputs (summary signature, per-core first-touch
-// maps, L1 contents) must never be mutated by an access the peeker
-// certified, and Mode must never return ModeLazy (the engine skips the
-// sequential path's lazy-victim broadcast on certified non-transactional
-// stores). Schemes that cannot promise this simply do not implement the
-// interface and always run sequentially.
-type LocalPeeker interface {
-	PeekLoad(m *Machine, c *Core, line sim.Line) AccessPeek
-	PeekStore(m *Machine, c *Core, line sim.Line) AccessPeek
-
-	// LoadLocal and StoreLocal are the execution-side twins of the peeks:
-	// they perform a certified access with exactly the observable effects
-	// (counters, memory words, latency) the full Translate+Load/Store
-	// path would have on it, but without re-walking the filters the peek
-	// already cleared — the peek's verdict still holds at execution time
-	// because certified ops never mutate classification inputs. The
-	// engine only calls them for accesses the matching peek certified in
-	// the same window; parVerifyChains routes execution through the full
-	// scheme path instead, which is the switch to flip when validating a
-	// new implementation. Both return the extra scheme latency beyond the
-	// L1 hit — which must equal the AccessPeek.Lat the peek reported.
-	LoadLocal(m *Machine, c *Core, addr sim.Addr) (sim.Word, sim.Cycles)
-	StoreLocal(m *Machine, c *Core, addr sim.Addr, val sim.Word) sim.Cycles
-
-	// PeekDirOp and DirOpLocal extend the contract to the engine's
-	// cross-core tier: a certified L1 miss or upgrade routes one
-	// coherence request through the line's home directory bank and
-	// possibly the L2 bank under it. PeekDirOp answers — with no side
-	// effects — whether the scheme permits that request inside a window
-	// (no scheme metadata may hang off the line's directory/L2 path) and
-	// what extra scheme latency the request carries; DirOpLocal is the
-	// execution twin, performing any scheme-side effect of a certified
-	// request and returning that same latency. Today every scheme folds
-	// its directory-op costs into Translate/Load/Store, so all three
-	// implementations answer Lat 0 and DirOpLocal returns 0; the seam
-	// exists so a scheme with bank-local directory state can join
-	// cross-core windows without the engine changing. The Target of a
-	// certified answer is the line itself (identity, as for the peeks).
-	PeekDirOp(m *Machine, c *Core, line sim.Line, write bool) AccessPeek
-	DirOpLocal(m *Machine, c *Core, line sim.Line, write bool) sim.Cycles
-}

@@ -178,88 +178,6 @@ func (v *VM) Abort(m *htm.Machine, c *htm.Core) sim.Cycles {
 // versions live at real addresses.
 func (v *VM) OnSpecEviction(m *htm.Machine, c *htm.Core, line sim.Line) {}
 
-// peekClear reports whether c's access to line is provably free of
-// redirect state: either the summary signature dismisses it outright
-// (no false negatives — the filtered Translate path), or the signature
-// answered positive only by aliasing and the precise, side-effect-free
-// table probe proves the line absent everywhere (the zero-latency
-// LevelAbsent walk). Both paths leave Translate at latency 0 with the
-// identity mapping, which is what the certified twins below replay.
-func peekClear(m *htm.Machine, c *htm.Core, line sim.Line) bool {
-	return !m.Summary.Test(line) || m.Redirect.PeekAbsent(c.ID, line)
-}
-
-// PeekLoad implements htm.LocalPeeker: a load is core-local exactly when
-// the line provably has no redirect state — no transient entry of c's
-// own (write signature) and no committed entry anywhere (summary
-// signature, sharpened by the precise absent probe for aliases). A line
-// with real redirect state — or one cached in the hardware walk tables,
-// whose LRU the walk would reorder — conservatively parks the access on
-// the sequential engine.
-func (v *VM) PeekLoad(m *htm.Machine, c *htm.Core, line sim.Line) htm.AccessPeek {
-	if c.TxActive() && c.WriteSig.Test(line) {
-		return htm.AccessPeek{}
-	}
-	if !peekClear(m, c, line) {
-		return htm.AccessPeek{}
-	}
-	return htm.AccessPeek{Target: line, Lat: 0, OK: true}
-}
-
-// PeekStore implements htm.LocalPeeker. Only non-transactional stores
-// through the identity mapping are core-local: the core must be outside
-// any transaction (InTx, not just TxActive — a suspended transaction's
-// transient redirect entries would still resolve the store elsewhere)
-// and the line must be provably clear of redirect state, which proves
-// Resolve is the identity and Store is a plain word write.
-// Transactional stores always walk the redirect table (journal
-// transitions, pool allocation) and stay sequential.
-func (v *VM) PeekStore(m *htm.Machine, c *htm.Core, line sim.Line) htm.AccessPeek {
-	if c.InTx() || !peekClear(m, c, line) {
-		return htm.AccessPeek{}
-	}
-	return htm.AccessPeek{Target: line, Lat: 0, OK: true}
-}
-
-// LoadLocal implements htm.LocalPeeker: a certified load replays the
-// real Translate — the summary-filtered arm, or the pure LevelAbsent
-// walk for an alias the precise probe certified — so every counter and
-// the (zero) latency land exactly as the sequential path would, then
-// reads the word through the identity mapping Translate just confirmed.
-func (v *VM) LoadLocal(m *htm.Machine, c *htm.Core, addr sim.Addr) (sim.Word, sim.Cycles) {
-	_, lat := v.Translate(m, c, sim.LineOf(addr), false)
-	return m.Memory.Read(addr), lat
-}
-
-// PeekDirOp implements htm.LocalPeeker: a coherence request for a
-// provably redirect-free line by a non-transactional core touches no
-// redirect state at the home tile — the directory slice finds nothing
-// to resolve. A line with real redirect state may have journal entries
-// hanging off its directory path, and a transactional requester could
-// be mid-redirect, so both park.
-func (v *VM) PeekDirOp(m *htm.Machine, c *htm.Core, line sim.Line, write bool) htm.AccessPeek {
-	if c.InTx() || !peekClear(m, c, line) {
-		return htm.AccessPeek{}
-	}
-	return htm.AccessPeek{Target: line, Lat: 0, OK: true}
-}
-
-// DirOpLocal implements htm.LocalPeeker: a certified directory request
-// has no SUV-side effect — the line is provably redirect-free.
-func (v *VM) DirOpLocal(m *htm.Machine, c *htm.Core, line sim.Line, write bool) sim.Cycles {
-	return 0
-}
-
-// StoreLocal implements htm.LocalPeeker: a certified store replays the
-// real Translate plus Store's non-transactional arm — Resolve, proven
-// the identity by the peek, then the word write in place.
-func (v *VM) StoreLocal(m *htm.Machine, c *htm.Core, addr sim.Addr, val sim.Word) sim.Cycles {
-	line := sim.LineOf(addr)
-	_, lat := v.Translate(m, c, line, true)
-	m.Memory.Write(translatedAddr(m.Redirect.Resolve(c.ID, line), addr), val)
-	return lat
-}
-
 // translatedAddr rebases addr into target, keeping the in-line offset.
 func translatedAddr(target sim.Line, addr sim.Addr) sim.Addr {
 	return sim.AddrOf(target) | (addr & (sim.LineBytes - 1))

@@ -196,7 +196,7 @@ func (m *Machine) lazyArbitrate(c *Core) bool {
 				ev := forensics.NACKEvent{
 					Cycle: m.now, Requester: c.ID, Holder: h.ID,
 					Line: line, Kind: forensics.Write,
-					Cause: forensics.CauseLazyValidation,
+					Cause:   forensics.CauseLazyValidation,
 					ReqSite: c.txSite(), HoldSite: h.txSite(),
 					SigHit: true, Precise: precise,
 					Stall: m.cfg.RetryInterval,

@@ -193,34 +193,3 @@ func (m *Mesh) MaxLatency() sim.Cycles {
 	hops := sim.Cycles(m.width - 1 + m.height - 1)
 	return hops*(m.wireLat+m.routeLat) + m.routeLat
 }
-
-// Lookahead returns the conservative-PDES lookahead bound of the mesh:
-// the minimum latency of any cross-tile message (one hop: wire + two
-// router traversals). No tile can observe an effect originating at a
-// different tile sooner than this many cycles after it was sent, so a
-// shard that has drained all events up to cycle T may safely execute
-// purely tile-local work up to T+Lookahead()-1 before the next merge.
-// At the Table III latencies (wire 2, route 1) this is 4 cycles.
-func (m *Mesh) Lookahead() sim.Cycles {
-	la := m.wireLat + 2*m.routeLat
-	if la < 1 {
-		la = 1
-	}
-	return la
-}
-
-// ShardOf maps a tile to one of `shards` contiguous tile blocks
-// (tile*shards/tiles). Contiguous-by-ID blocks keep each shard's tiles
-// mesh-adjacent under the row-major tile layout, and the mapping is a
-// pure function of (tile, shards, mesh size) so shard assignment can
-// never depend on host scheduling.
-func (m *Mesh) ShardOf(tile, shards int) int {
-	n := m.Tiles()
-	if shards <= 1 || n == 0 {
-		return 0
-	}
-	if shards > n {
-		shards = n
-	}
-	return tile * shards / n
-}

@@ -91,67 +91,3 @@ func TestMeshBadSizePanics(t *testing.T) {
 	}()
 	NewMesh(0, 2, 1)
 }
-
-// TestParallelLookahead pins the conservative lookahead bound: it must
-// equal the cheapest cross-tile latency (one hop), never exceed any
-// actual Latency between distinct tiles, and stay >= 1 even for
-// degenerate zero-latency meshes.
-func TestParallelLookahead(t *testing.T) {
-	m := NewMesh(16, 2, 1)
-	if got := m.Lookahead(); got != 4 {
-		t.Fatalf("Lookahead() = %d, want 4 at Table III latencies", got)
-	}
-	for from := 0; from < m.Tiles(); from++ {
-		for to := 0; to < m.Tiles(); to++ {
-			if from == to {
-				continue
-			}
-			if lat := m.Latency(from, to); lat < m.Lookahead() {
-				t.Fatalf("Latency(%d,%d) = %d < Lookahead %d", from, to, lat, m.Lookahead())
-			}
-		}
-	}
-	if got := NewMesh(4, 0, 0).Lookahead(); got != 1 {
-		t.Fatalf("degenerate Lookahead() = %d, want 1", got)
-	}
-}
-
-// TestParallelShardOf checks the tile->shard map: total (every tile
-// mapped), monotone (contiguous blocks), balanced (sizes differ by at
-// most one), and saturating for shards > tiles.
-func TestParallelShardOf(t *testing.T) {
-	for _, tiles := range []int{1, 2, 4, 8, 16, 12} {
-		m := NewMesh(tiles, 2, 1)
-		for _, shards := range []int{1, 2, 3, 4, 7, 16, 64} {
-			eff := shards
-			if eff > tiles {
-				eff = tiles
-			}
-			counts := make([]int, eff)
-			prev := 0
-			for tile := 0; tile < tiles; tile++ {
-				s := m.ShardOf(tile, shards)
-				if s < 0 || s >= eff {
-					t.Fatalf("ShardOf(%d,%d) = %d out of range [0,%d)", tile, shards, s, eff)
-				}
-				if s < prev {
-					t.Fatalf("ShardOf not monotone at tile %d (shards %d)", tile, shards)
-				}
-				prev = s
-				counts[s]++
-			}
-			min, max := tiles, 0
-			for _, n := range counts {
-				if n < min {
-					min = n
-				}
-				if n > max {
-					max = n
-				}
-			}
-			if min == 0 || max-min > 1 {
-				t.Fatalf("tiles=%d shards=%d unbalanced: %v", tiles, shards, counts)
-			}
-		}
-	}
-}

@@ -38,31 +38,11 @@ func (s LineState) String() string {
 type CacheConfig struct {
 	SizeBytes int // total capacity in bytes
 	Ways      int // associativity
-	// Banks partitions the cache's shared scalar state (LRU clock,
-	// stats, touched-set journal) into independent banks keyed by the
-	// top bits of the set index; 0 means 1. Within a set, nothing
-	// changes — a line's set, ways and victim choices are identical for
-	// every bank count, because LRU comparisons are intra-set and each
-	// set belongs to exactly one bank whose clock is strictly increasing
-	// along that set's access sequence. Banking only decides which
-	// scalars an access touches, which is what lets the parallel window
-	// engine run bank-disjoint fills concurrently. The machine derives
-	// the L2's bank count from htm.Config.Banks; L1s stay single-banked.
-	Banks int
 }
 
 // Sets returns the number of sets implied by the geometry.
 func (c CacheConfig) Sets() int {
 	return c.SizeBytes / (sim.LineBytes * c.Ways)
-}
-
-// normalized resolves the Banks default (0 -> 1) so configs that differ
-// only in the spelling of "unbanked" compare equal in Reset.
-func (c CacheConfig) normalized() CacheConfig {
-	if c.Banks == 0 {
-		c.Banks = 1
-	}
-	return c
 }
 
 // Lines returns the total number of lines the cache can hold.
@@ -86,54 +66,35 @@ type CacheStats struct {
 	Evictions metrics.Counter // valid victims displaced by fills
 }
 
-// cacheBank is one bank's private scalar state: everything an access
-// mutates beyond its own set. Banks never share a mutable word, so
-// accesses to different banks commute — and may run concurrently inside
-// a certified parallel window.
-type cacheBank struct {
-	lruClock    uint64
-	stats       CacheStats
-	touchedSets []sim.Line
-}
-
 // Cache is a set-associative, write-back cache with true LRU replacement.
 // It tracks tags and per-line flags only; data values live in Memory.
 type Cache struct {
-	cfg  CacheConfig // normalized (Banks >= 1)
+	cfg  CacheConfig
 	sets [][]cacheWay
 	// tagSets mirrors each way's line number in a dense parallel array so
 	// the hot membership scan touches one cache line instead of the full
 	// way structs. Tags of Invalid ways are stale (never cleared); find
 	// confirms validity on a tag match before trusting it.
-	tagSets [][]sim.Line
-	setMask sim.Line
+	tagSets  [][]sim.Line
+	setMask  sim.Line
+	lruClock uint64
 
-	// Banked scalar state: bank b covers sets [b<<bankShift,
-	// (b+1)<<bankShift) — the bank bits are the TOP bits of the set
-	// index, matching the directory's bank.Map, so "same bank" means the
-	// same thing for both structures.
-	banks     []cacheBank
-	bankShift uint
-
-	// setTouched tracks which sets have been filled since construction
-	// (or the last Reset) so Reset invalidates only the footprint a run
+	// touched tracks which sets have been filled since construction (or
+	// the last Reset) so Reset invalidates only the footprint a run
 	// actually used — the 8 MB L2 has 16384 sets, and small workloads
-	// touch a fraction of them. Indexed per set (disjoint across banks);
-	// the companion journal of touched set indices lives in each bank.
-	setTouched []bool
+	// touch a fraction of them.
+	setTouched  []bool
+	touchedSets []sim.Line
+
+	stats CacheStats // activity counts
 }
 
 // NewCache builds a cache with the given geometry. The number of sets
-// must be a power of two, and the bank count a power of two not
-// exceeding it.
+// must be a power of two.
 func NewCache(cfg CacheConfig) *Cache {
-	cfg = cfg.normalized()
 	sets := cfg.Sets()
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("mem: cache set count %d is not a positive power of two", sets))
-	}
-	if cfg.Banks&(cfg.Banks-1) != 0 || cfg.Banks > sets {
-		panic(fmt.Sprintf("mem: cache bank count %d is not a power of two <= %d sets", cfg.Banks, sets))
 	}
 	c := &Cache{cfg: cfg, setMask: sim.Line(sets - 1)}
 	c.sets = make([][]cacheWay, sets)
@@ -147,46 +108,8 @@ func NewCache(cfg CacheConfig) *Cache {
 		c.tagSets[i] = tagBacking[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
 	}
 	c.setTouched = make([]bool, sets)
-	c.banks = make([]cacheBank, cfg.Banks)
-	setsPerBank := sets / cfg.Banks
-	for b := range c.banks {
-		c.banks[b].touchedSets = make([]sim.Line, 0, setsPerBank)
-	}
-	for 1<<c.bankShift < setsPerBank {
-		c.bankShift++
-	}
+	c.touchedSets = make([]sim.Line, 0, sets)
 	return c
-}
-
-// bankOf returns the bank owning line's set.
-//
-//suv:hotpath
-func (c *Cache) bankOf(line sim.Line) *cacheBank {
-	return &c.banks[(line&c.setMask)>>c.bankShift]
-}
-
-// Banks returns the bank count.
-func (c *Cache) Banks() int { return len(c.banks) }
-
-// BankOf returns the bank index of line's set — the window engine's
-// claim key, identical to the directory's for the machine-chosen
-// geometry.
-//
-//suv:hotpath
-func (c *Cache) BankOf(line sim.Line) int { return int((line & c.setMask) >> c.bankShift) }
-
-// Stats returns the activity counters summed over banks in bank-ID
-// order (the canonical merge order).
-func (c *Cache) Stats() CacheStats {
-	var s CacheStats
-	for b := range c.banks {
-		bs := &c.banks[b].stats
-		s.Lookups.Add(bs.Lookups.Value())
-		s.Hits.Add(bs.Hits.Value())
-		s.Inserts.Add(bs.Inserts.Value())
-		s.Evictions.Add(bs.Evictions.Value())
-	}
-	return s
 }
 
 // Reset returns the cache to its post-construction state while keeping
@@ -197,28 +120,28 @@ func (c *Cache) Stats() CacheStats {
 // compares stamps among ways filled after the reset, so a reset cache
 // is behaviorally identical to a fresh one. A geometry change rebuilds.
 func (c *Cache) Reset(cfg CacheConfig) {
-	if cfg.normalized() != c.cfg {
+	if cfg != c.cfg {
 		*c = *NewCache(cfg)
 		return
 	}
-	for b := range c.banks {
-		bk := &c.banks[b]
-		for _, si := range bk.touchedSets {
-			set := c.sets[si]
-			for i := range set {
-				set[i].state = Invalid
-				set[i].dirty = false
-				set[i].spec = false
-			}
-			c.setTouched[si] = false
+	for _, si := range c.touchedSets {
+		set := c.sets[si]
+		for i := range set {
+			set[i].state = Invalid
+			set[i].dirty = false
+			set[i].spec = false
 		}
-		bk.touchedSets = bk.touchedSets[:0]
-		bk.stats = CacheStats{}
+		c.setTouched[si] = false
 	}
+	c.touchedSets = c.touchedSets[:0]
+	c.stats = CacheStats{}
 }
 
 // Config returns the cache geometry.
 func (c *Cache) Config() CacheConfig { return c.cfg }
+
+// Stats returns the activity counts.
+func (c *Cache) Stats() CacheStats { return c.stats }
 
 // SetIndex returns the set index for line (used by the SUV redirect-entry
 // geometry, which stores L1 set-index bits — Figure 3).
@@ -255,15 +178,14 @@ func (c *Cache) find(line sim.Line) *cacheWay {
 //
 //suv:hotpath
 func (c *Cache) Lookup(line sim.Line) (LineState, bool) {
-	bk := c.bankOf(line)
-	bk.stats.Lookups.Inc()
+	c.stats.Lookups.Inc()
 	w := c.find(line)
 	if w == nil {
 		return Invalid, false
 	}
-	bk.stats.Hits.Inc()
-	bk.lruClock++
-	w.lru = bk.lruClock
+	c.stats.Hits.Inc()
+	c.lruClock++
+	w.lru = c.lruClock
 	return w.state, true
 }
 
@@ -312,25 +234,24 @@ func (c *Cache) Insert(line sim.Line, state LineState, avoidSpec bool) Victim {
 	si := line & c.setMask
 	set := c.sets[si]
 	tags := c.tagSets[si]
-	bk := &c.banks[si>>c.bankShift]
 	if !c.setTouched[si] {
 		c.setTouched[si] = true
-		bk.touchedSets = append(bk.touchedSets, si)
+		c.touchedSets = append(c.touchedSets, si)
 	}
-	bk.lruClock++
+	c.lruClock++
 	// Re-use the existing way on an insert-over-present (state change).
 	for i := range set {
 		if set[i].state != Invalid && set[i].line == line {
 			set[i].state = state
-			set[i].lru = bk.lruClock
+			set[i].lru = c.lruClock
 			return Victim{}
 		}
 	}
-	bk.stats.Inserts.Inc()
+	c.stats.Inserts.Inc()
 	// Free way?
 	for i := range set {
 		if set[i].state == Invalid {
-			set[i] = cacheWay{line: line, state: state, lru: bk.lruClock}
+			set[i] = cacheWay{line: line, state: state, lru: c.lruClock}
 			tags[i] = line
 			return Victim{}
 		}
@@ -352,25 +273,11 @@ func (c *Cache) Insert(line sim.Line, state LineState, avoidSpec bool) Victim {
 			}
 		}
 	}
-	bk.stats.Evictions.Inc()
+	c.stats.Evictions.Inc()
 	v := Victim{Line: set[victim].line, Dirty: set[victim].dirty, Spec: set[victim].spec, Valid: true}
-	set[victim] = cacheWay{line: line, state: state, lru: bk.lruClock}
+	set[victim] = cacheWay{line: line, state: state, lru: c.lruClock}
 	tags[victim] = line
 	return v
-}
-
-// ForEachWayOf visits every valid way in line's set — the eviction
-// candidates an Insert of line could displace. The parallel window
-// engine's scan uses it to claim the banks a certified fill might touch
-// (every candidate's directory entry and write-back L2 set) before any
-// chain runs.
-func (c *Cache) ForEachWayOf(line sim.Line, fn func(way sim.Line, state LineState, dirty, spec bool)) {
-	set := c.sets[line&c.setMask]
-	for i := range set {
-		if set[i].state != Invalid {
-			fn(set[i].line, set[i].state, set[i].dirty, set[i].spec)
-		}
-	}
 }
 
 // SetState changes the state of a present line; it is a no-op when the

@@ -124,23 +124,6 @@ func (m *Memory) Read(addr sim.Addr) sim.Word {
 	return 0
 }
 
-// Written reports whether the word at addr has ever been stored to.
-// For such a word, a subsequent Write is a pure in-place overwrite: no
-// page materialization, no footprint-bitmap mutation — which is what
-// lets the parallel window engine issue concurrent Writes to disjoint
-// already-written words without synchronization.
-//
-//suv:hotpath
-func (m *Memory) Written(addr sim.Addr) bool {
-	w := addr >> 3
-	p := m.peek(w)
-	if p == nil {
-		return false
-	}
-	off := w & memPageWordMask
-	return p.written[off>>6]&(1<<(off&63)) != 0
-}
-
 // Write stores val at addr (aligned down to 8 bytes).
 //
 //suv:hotpath

@@ -13,17 +13,13 @@ import (
 // transient adds are recycled through a free list.
 //
 // Pages are claimed in groups of poolGroupPages, each page placed at a
-// PoolInterleave-aligned address so the group covers one full bank-
-// stripe period, and line handout round-robins across the group's
-// pages. Redirected lines are exactly the hottest shared data in the
-// system; packing them onto a single page — a single bank stripe —
-// would funnel every redirected access, and every L1 eviction of a
-// redirected copy, through one directory/L2 bank, which serializes the
-// parallel window engine on it. The skipped alignment padding is dead
-// address space (the simulated memory is sparse). The interleave is a
-// fixed layout constant, NOT a function of the configured bank count:
-// results must stay bit-identical across bank counts (the
-// banked-vs-monolithic oracle), so the layout cannot depend on one.
+// PoolInterleave-aligned address so a group spreads over one full 1 MB
+// L2 way-size period, and line handout round-robins across the group's
+// pages. The skipped alignment padding is dead address space (the
+// simulated memory is sparse). The layout is fixed because it decides
+// the simulated address of every redirected line, and with it the L2
+// sets and directory entries those lines use: the golden outcome table
+// and the suvbench digests pin it, so changing it is a model change.
 type Pool struct {
 	alloc     *mem.Allocator
 	free      []sim.Line
@@ -41,12 +37,12 @@ type Pool struct {
 }
 
 // PoolInterleave is the placement alignment of preserved-pool pages: 64
-// KB, one bank stripe of the default machine's L2 at its finest common
-// banking (1 MB way-size / 16 banks). See the type comment.
+// KB, one sixteenth of the default L2's 1 MB way-size. See the type
+// comment.
 const PoolInterleave = 64 << 10
 
-// poolGroupPages is how many stripe-spread pages one group claims — a
-// full 16-stripe period, so round-robined pool lines cover every bank.
+// poolGroupPages is how many interleaved pages one group claims — a
+// full 16-page period of the 1 MB way-size.
 const poolGroupPages = 16
 
 // NewPool creates a pool drawing pages from alloc.
@@ -71,8 +67,8 @@ func (p *Pool) Reset(alloc *mem.Allocator) {
 
 // Alloc returns a fresh pool line, reusing freed lines first and
 // claiming a new page group when the current one is exhausted. Handout
-// rotates across the group's stripe-spread pages, so consecutive
-// allocations land on different banks.
+// rotates across the group's interleaved pages, so consecutive
+// allocations land on different pages.
 func (p *Pool) Alloc() sim.Line {
 	if p.exhausted {
 		p.reclaims++

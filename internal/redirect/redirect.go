@@ -243,20 +243,6 @@ func (r *Redirect) Resolve(core int, line sim.Line) sim.Line {
 	return line
 }
 
-// PeekAbsent reports whether core's access to line would take the
-// zero-latency absent path through Lookup: no transient entry of core's,
-// no committed mapping, and neither hardware table caches the line. The
-// probe itself is completely side-effect-free (the table peeks skip the
-// LRU refresh a contains hit would perform), so the parallel window
-// engine can use it to certify accesses the summary signature flagged
-// only by aliasing — the walk those accesses later replay is pure too,
-// since every mutating arm of Lookup is behind a presence test this
-// probe just answered negatively.
-func (r *Redirect) PeekAbsent(core int, line sim.Line) bool {
-	return !r.trans[core].Has(line) && !r.global.Has(line) &&
-		!r.l1[core].peek(line) && !r.l2.peek(line)
-}
-
 // Lookup performs a timing-accurate redirect-table walk for core's access
 // to line. It should be called only when the summary signature (or the
 // core's write signature) indicated a possible redirection.

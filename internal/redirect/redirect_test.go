@@ -425,8 +425,7 @@ func TestPoolRecycling(t *testing.T) {
 }
 
 // TestPoolStripeInterleave: consecutive pool lines land on different
-// 64 KB stripes — the bank-spreading property the parallel window
-// engine depends on (see the Pool type comment).
+// 64 KB stripes, the fixed layout the Pool type comment describes.
 func TestPoolStripeInterleave(t *testing.T) {
 	alloc := mem.NewAllocator(0x8000_0000, 1<<30)
 	p := NewPool(alloc)

@@ -93,16 +93,6 @@ func (t *l1Table) reset() {
 	t.pinned = 0
 }
 
-// peek reports presence without refreshing LRU — the side-effect-free
-// probe PeekAbsent needs (contains would reorder the replacement clock
-// on a hit).
-//
-//suv:hotpath
-func (t *l1Table) peek(line sim.Line) bool {
-	_, ok := t.index.Get(line)
-	return ok
-}
-
 // contains refreshes LRU and reports presence.
 //
 //suv:hotpath
@@ -230,19 +220,6 @@ func (t *l2Table) reset() {
 func (t *l2Table) setOf(line sim.Line) []l2Way {
 	s := int(line) & (t.sets - 1)
 	return t.slots[s*t.ways : (s+1)*t.ways]
-}
-
-// peek reports presence without refreshing the stamp (see l1Table.peek).
-//
-//suv:hotpath
-func (t *l2Table) peek(line sim.Line) bool {
-	set := t.setOf(line)
-	for i := range set {
-		if set[i].live && set[i].line == line {
-			return true
-		}
-	}
-	return false
 }
 
 //suv:hotpath

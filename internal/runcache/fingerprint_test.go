@@ -18,7 +18,7 @@ import (
 // model must never be served for the new one, so you must:
 //  1. bump runcache.Version, and
 //  2. update this constant to the new digest the failure message prints.
-const goldenDefaultConfigDigest = "c234f7dc0d97edb9014dc0362e3f8d82d63fc68f59d696d039ead4f2140e050e"
+const goldenDefaultConfigDigest = "6dd5eed90368e9b566afa23b8cad027683fbf099998f652f959f1a9a5222e8d8"
 
 func TestGoldenConfigDigest(t *testing.T) {
 	text := CanonicalConfig(htm.DefaultConfig(16))

@@ -34,7 +34,7 @@ import (
 // entries then land in a different directory and are never served. The
 // golden-digest test in fingerprint_test.go fails when htm.Config
 // changes shape, forcing exactly this bump.
-const Version = 3
+const Version = 4
 
 // Key is the content address of one resolved run.
 type Key [sha256.Size]byte

@@ -37,26 +37,6 @@ func (h *ReadyHeap) Pop() (at Cycles, id int) {
 	return top.at, top.id
 }
 
-// Remove deletes the first queued entry equal to (at, id), restoring
-// the heap order, and reports whether one was found. The linear search
-// is fine for the window engine's use: heaps hold at most one entry per
-// core and removals happen once per window, not per event.
-func (h *ReadyHeap) Remove(at Cycles, id int) bool {
-	for i := range h.items {
-		if h.items[i].at == at && h.items[i].id == id {
-			last := len(h.items) - 1
-			h.items[i] = h.items[last]
-			h.items = h.items[:last]
-			if i < last {
-				h.down(i)
-				h.up(i)
-			}
-			return true
-		}
-	}
-	return false
-}
-
 // Peek returns the smallest entry without removing it.
 func (h *ReadyHeap) Peek() (at Cycles, id int, ok bool) {
 	if len(h.items) == 0 {

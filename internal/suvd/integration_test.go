@@ -4,14 +4,20 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
+
+	"suvtm/internal/experiments"
 )
 
 // TestEndToEndFleetRunner exercises the daemon against the real fleet
 // engine: submit, simulate, summarize; resubmission is served from the
 // run cache; and a degraded daemon still admits cache-resident work.
 // Seeds are kept in a distinctive range so the shared fleet cache never
-// collides with the stub-runner tests' specs.
+// collides with the stub-runner tests' specs, and the process-wide cache
+// is reset first so a repeated run (-count, -cpu) starts cold too.
 func TestEndToEndFleetRunner(t *testing.T) {
+	if err := experiments.ResetRunCache(); err != nil {
+		t.Fatal(err)
+	}
 	s := newTestServer(t, Config{Workers: 1, EscalateAfter: 1000})
 	h := s.Handler()
 

@@ -9,29 +9,24 @@ import (
 
 func init() { Register("intruderscan", GenIntruderScan) }
 
-// GenIntruderScan is the phase-alternating variant of intruder built for
-// the parallel window engine's conflict benchmark: rounds of a long
-// non-transactional scan over a private, L1-overflowing buffer — the
-// phase the cross-core certified-miss tier should parallelize — fenced
-// by barriers from short intruder-style bursts on the shared work queue
-// and detector dictionary, the conflict-heavy phase that must fall back
-// to the sequential engine.
+// GenIntruderScan is a phase-alternating variant of intruder: rounds of
+// a long non-transactional scan over a private, L1-overflowing buffer,
+// fenced by barriers from short intruder-style bursts on the shared
+// work queue and detector dictionary, the conflict-heavy phase.
 //
-// The layout is bank-aware: the directory/L2 bank stripe repeats every
-// L2-way-size bytes (1 MB on the default machine), so every capture
-// buffer is 64 KB (twice the L1, so each sweep round misses throughout)
-// aligned to 128 KB — an even 64 KB stripe — while the shared detector
-// structures are hash-distributed across the odd stripes, the way a
-// real intruder dictionary scatters its buckets across the heap. At
-// the default 16 banks the odd stripes are disjoint from every buffer
-// stripe, so a sweep's fills and upgrades never contest a detector
-// bank, and the residual evictions of detector lines left in the L1s
-// by the transactional bursts spread over eight banks instead of
-// serializing the window engine on one.
+// Every capture buffer is 64 KB (twice the L1, so each sweep round
+// misses throughout) aligned to 128 KB, while the shared detector
+// structures are spread in 64 KB-aligned chunks over the odd 64 KB
+// stripes of the L2's 1 MB way-size period, the way a real intruder
+// dictionary scatters its buckets across the heap. The layout is fixed
+// because it decides the simulated addresses, and with them the L2
+// sets and directory entries every access uses: the golden outcome
+// table and the suvbench digests pin it, so changing it is a model
+// change.
 func GenIntruderScan(cfg GenConfig, alloc *mem.Allocator, m *mem.Memory) *App {
 	const (
 		scanLines = 1024      // 64 KB per core: twice the 32 KB L1, every scan round misses
-		stripe    = 64 << 10  // one bank stripe: 1 MB L2 way-size / 16 banks
+		stripe    = 64 << 10  // one sixteenth of the 1 MB L2 way-size
 		bankAlign = 128 << 10 // buffers sit on even stripes; detector chunks on odd ones
 		dictLines = 256
 		dictChunk = 32 // dictLines/dictChunk chunks, one per odd stripe
@@ -52,9 +47,9 @@ func GenIntruderScan(cfg GenConfig, alloc *mem.Allocator, m *mem.Memory) *App {
 		dictChunks[k] = NewRegion(alloc, dictChunk)
 	}
 	// The queue is the hottest shared line of all — every transaction
-	// pops it — so it rides on the LAST chunk's stripe: buckets are laid
+	// pops it — and rides on the last chunk's stripe: buckets are laid
 	// out in index order and the Zipf sampler skews toward low indices,
-	// making that the coldest detector bank.
+	// making that the coldest detector stripe.
 	queue := NewRegion(alloc, 1)
 	// dictWord addresses word idx%8 of bucket idx through the chunked
 	// layout.
@@ -67,9 +62,8 @@ func GenIntruderScan(cfg GenConfig, alloc *mem.Allocator, m *mem.Memory) *App {
 	for c := range bufs {
 		base := alloc.Alloc(scanLines*sim.LineBytes, bankAlign)
 		bufs[c] = Region{Base: base, Lines: scanLines}
-		// Materialize every scanned word at generation time: certified
-		// stores require already-written targets, and a real capture
-		// buffer is mapped before the detector loop starts.
+		// Materialize every scanned word at generation time: a real
+		// capture buffer is mapped before the detector loop starts.
 		for i := 0; i < scanLines; i++ {
 			m.Write(bufs[c].WordAddr(i, 0), 0)
 		}
@@ -86,7 +80,7 @@ func GenIntruderScan(cfg GenConfig, alloc *mem.Allocator, m *mem.Memory) *App {
 			// Scan phase: every core sweeps its private capture buffer,
 			// checksumming and stamping each fragment in place. The
 			// barrier guarantees no transaction is live anywhere during
-			// the sweep, so the engine's machine-wide noTx gate holds.
+			// the sweep.
 			b.Barrier(uint32(2 * r))
 			for i := 0; i < scanLines; i++ {
 				// One fragment: fetch the header (the L1 miss), read the

@@ -13,12 +13,10 @@ func init() { Register("sessionstore", GenSessionStore) }
 // catalog: each core services a stream of requests against its own
 // session table — an L1-resident private region it reads, computes over
 // and updates in place — and only rarely opens a transaction to bump a
-// counter in the shared, Zipf-skewed catalog. The request loop is the
-// simulator's best case for long core-local instruction chains (every
-// steady-state access is an L1 hit on a previously written private
-// word), which makes this the steady-state workload of the parallel
-// window engine's throughput benchmark; the shared-catalog transactions
-// keep the invariant check end-to-end transactional.
+// counter in the shared, Zipf-skewed catalog. Every steady-state access
+// of the request loop is an L1 hit on a previously written private
+// word; the shared-catalog transactions keep the invariant check
+// end-to-end transactional.
 func GenSessionStore(cfg GenConfig, alloc *mem.Allocator, m *mem.Memory) *App {
 	const (
 		sessionLines = 256 // 16 KB per core: half the 32 KB L1, 2 ways of each set
