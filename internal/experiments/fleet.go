@@ -248,6 +248,10 @@ func runBatch(specs []Spec, o BatchOptions) ([]*Outcome, []error) {
 		ctx = context.Background()
 	}
 	order := dispatchOrder(specs, o)
+	var keep map[workloadKey]bool
+	if !o.NoArena {
+		keep = batchKeys(specs)
+	}
 	outcomes := make([]*Outcome, len(specs))
 	errs := make([]error, len(specs))
 	progress := newProgressTracker(len(specs), o)
@@ -261,6 +265,7 @@ func runBatch(specs []Spec, o BatchOptions) ([]*Outcome, []error) {
 			var arena *machineArena
 			if !o.NoArena {
 				arena = arenaPool.Get().(*machineArena)
+				arena.prune(keep)
 				defer arenaPool.Put(arena)
 			}
 			for {
@@ -324,6 +329,36 @@ type workloadKey struct {
 	cores int
 	seed  uint64
 	scale float64
+}
+
+// keyOf returns the workload key spec generates.
+func keyOf(spec Spec) workloadKey {
+	cores, seed, scale := spec.resolved()
+	return workloadKey{spec.App, cores, seed, scale}
+}
+
+// batchKeys returns the workload keys of a batch's specs.
+func batchKeys(specs []Spec) map[workloadKey]bool {
+	keys := make(map[workloadKey]bool, len(specs))
+	for _, s := range specs {
+		keys[keyOf(s)] = true
+	}
+	return keys
+}
+
+// prune drops every memoized workload whose key is not in keep, so a
+// worker's memo holds images of the running batch only: a stream of
+// batches with fresh seeds (a benchmark loop, suvd jobs) would otherwise
+// pin dead images until the budget flushes them. A following batch that
+// shares keys, as a sweep's next point does, still replays them.
+func (a *machineArena) prune(keep map[workloadKey]bool) {
+	//suv:orderinsensitive each entry is kept or dropped on its own key, and wlCost is a sum
+	for key, rec := range a.workloads {
+		if !keep[key] {
+			a.wlCost -= rec.cost
+			delete(a.workloads, key)
+		}
+	}
 }
 
 // workloadMemo is one cached generation: the immutable App (programs

@@ -399,3 +399,53 @@ func TestRunManyContextCancel(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkloadMemoKeepsOnlyTheBatch pins the memo's scope: a worker
+// handed its arena for a batch drops the images no spec in the batch
+// uses, and keeps the ones it does, so a batch with fresh seeds starts
+// from a memo holding nothing dead, in-batch repeats still replay, and a
+// repeated batch replays every image.
+func TestWorkloadMemoKeepsOnlyTheBatch(t *testing.T) {
+	batch := func(seed uint64) []Spec {
+		return []Spec{
+			{App: "intruder", Scheme: SUVTM, Cores: 4, Seed: seed, Scale: 0.05},
+			{App: "intruder", Scheme: LogTMSE, Cores: 4, Seed: seed, Scale: 0.05},
+			{App: "kmeans", Scheme: SUVTM, Cores: 4, Seed: seed, Scale: 0.05},
+		}
+	}
+	arena := new(machineArena)
+	run := func(specs []Spec) uint64 {
+		t.Helper()
+		arena.prune(batchKeys(specs))
+		before := fleetWorkloadReplays.Load()
+		for _, s := range specs {
+			if _, err := runSpec(s, arena); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return fleetWorkloadReplays.Load() - before
+	}
+	if n := run(batch(11)); n != 1 {
+		t.Fatalf("first batch replayed %d images, want 1 (the repeated intruder key)", n)
+	}
+	if n := run(batch(12)); n != 1 {
+		t.Fatalf("second batch replayed %d images, want 1", n)
+	}
+	want := batchKeys(batch(12))
+	if len(arena.workloads) != len(want) {
+		t.Fatalf("memo holds %d images after the second batch, want its %d", len(arena.workloads), len(want))
+	}
+	cost := 0
+	for key, rec := range arena.workloads {
+		if !want[key] {
+			t.Fatalf("memo kept %+v from the first batch", key)
+		}
+		cost += rec.cost
+	}
+	if cost != arena.wlCost {
+		t.Fatalf("memo cost %d, entries sum to %d", arena.wlCost, cost)
+	}
+	if n := run(batch(12)); n != 3 {
+		t.Fatalf("repeated batch replayed %d images, want all 3", n)
+	}
+}

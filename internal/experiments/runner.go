@@ -174,7 +174,7 @@ func runSpec(spec Spec, arena *machineArena) (*Outcome, error) {
 	genCfg := workload.GenConfig{Cores: cores, Seed: seed, Scale: scale}
 	var app *workload.App
 	if arena != nil {
-		app = arena.generate(workloadKey{spec.App, cores, seed, scale}, memory, alloc,
+		app = arena.generate(keyOf(spec), memory, alloc,
 			func() *workload.App { return gen(genCfg, alloc, memory) })
 	} else {
 		app = gen(genCfg, alloc, memory)

@@ -21,6 +21,9 @@ func translatedAddr(target sim.Line, addr sim.Addr) sim.Addr {
 // with eager conflict detection on the program address, then the
 // scheme's value read.
 func (m *Machine) doLoad(c *Core, op workloadOp) {
+	if m.retrying(c) {
+		m.snapAccess(c)
+	}
 	if m.injectedNACK(c) {
 		return
 	}
@@ -35,6 +38,9 @@ func (m *Machine) doLoad(c *Core, op workloadOp) {
 	c.Regs[op.Reg] = val
 	if c.TxActive() {
 		c.trackRead(line)
+		if len(m.pk.parked) > 0 {
+			m.sigTracked(c, line, false)
+		}
 	}
 	m.finishOp(c, tlat+flat+vlat)
 }
@@ -44,6 +50,9 @@ func (m *Machine) doLoad(c *Core, op workloadOp) {
 // shared copy (conflict-checked against eager holders only) and let the
 // scheme buffer or redirect the value.
 func (m *Machine) doStore(c *Core, addr sim.Addr, val sim.Word) {
+	if m.retrying(c) {
+		m.snapAccess(c)
+	}
 	if m.injectedNACK(c) {
 		return
 	}
@@ -86,6 +95,9 @@ func (m *Machine) doStore(c *Core, addr sim.Addr, val sim.Word) {
 			c.windowStart = m.now + 1 // first write acquisition opens the window
 		}
 		c.trackWrite(line)
+		if len(m.pk.parked) > 0 {
+			m.sigTracked(c, line, true)
+		}
 		c.writtenTargets.Add(finalLine)
 	} else {
 		// A non-transactional store is immediately durable: lazy
@@ -103,6 +115,7 @@ func (m *Machine) doStore(c *Core, addr sim.Addr, val sim.Word) {
 				// aliasing.
 				precise := h.readSet.Has(line) || h.writeSet.Has(line)
 				h.doomBy(c.ID, forensics.NoSite, line, forensics.CauseNonTxStore, true, precise)
+				m.wakeIfParked(h)
 			}
 		}
 	}
@@ -298,6 +311,7 @@ func (m *Machine) handleNACK(c, holder *Core, line sim.Line, lat sim.Cycles, wri
 		c.Counters.FalsePositive++
 	}
 	requesterEager := c.TxActive() && m.modeOf(c) == ModeEager
+	plain := true
 	if m.cfg.Policy == PolicyOlderWins && requesterEager &&
 		m.older(c, holder) && !holder.abortPending && holder.status == statusRunning &&
 		holder.ID != m.tokenCore {
@@ -308,9 +322,12 @@ func (m *Machine) handleNACK(c, holder *Core, line sim.Line, lat sim.Cycles, wri
 		// decision is classified by this NACK event, so the doom carries
 		// sigHit=false to keep it counted once.
 		holder.doomBy(c.ID, c.txSite(), line, forensics.CauseOlderWins, false, precise)
+		m.wakeIfParked(holder)
+		plain = false
 	} else if requesterEager {
-		if m.older(c, holder) {
+		if m.older(c, holder) && !holder.possibleCyc {
 			holder.possibleCyc = true
+			m.wakeIfParked(holder) // its own stall may now end in a cycle abort
 		}
 		if c.possibleCyc && m.older(holder, c) && c.ID != m.tokenCore {
 			// Possible-cycle self-abort — except for the token holder,
@@ -335,7 +352,7 @@ func (m *Machine) handleNACK(c, holder *Core, line sim.Line, lat sim.Cycles, wri
 		m.maybeEscalate(c)
 	}
 	c.Breakdown.Add(stats.Stalled, lat+m.cfg.RetryInterval)
-	m.heap.Push(m.now+lat+m.cfg.RetryInterval, c.ID)
+	m.retryLater(c, holder, line, write, lat+m.cfg.RetryInterval, plain)
 }
 
 // older reports whether a's transaction is older than b's (smaller

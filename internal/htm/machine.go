@@ -56,6 +56,9 @@ type Machine struct {
 	tokenCore    int
 	tokenWaiting []int
 	nextCheckAt  sim.Cycles
+
+	// pk parks stalled requesters (see park.go).
+	pk parker
 }
 
 type barrierState struct {
@@ -230,7 +233,14 @@ func (m *Machine) Run() (*Result, error) {
 		}
 		m.heap.Push(0, i)
 	}
-	for m.heap.Len() > 0 {
+	m.startParking()
+	for {
+		if len(m.pk.parked) > 0 {
+			m.wakeForHeap()
+		}
+		if m.heap.Len() == 0 {
+			break
+		}
 		at, id := m.heap.Pop()
 		if m.cfg.MaxCycles > 0 && at > m.cfg.MaxCycles {
 			m.now = at
@@ -244,7 +254,11 @@ func (m *Machine) Run() (*Result, error) {
 			return nil, m.failRun(err)
 		}
 		m.metrics.Tick(at)
+		m.pk.stepID = id
 		m.step(m.Cores[id])
+		if len(m.pk.parked) > 0 {
+			m.parkSignals()
+		}
 	}
 	if m.finished != len(m.Cores) {
 		return nil, m.failRun(&DeadlockError{Finished: m.finished, Total: len(m.Cores), At: m.now, Cores: m.snapshotCores()})

@@ -169,6 +169,7 @@ func (m *Machine) grantToken(c *Core) {
 			// A token kill is forward-progress policy, not a data
 			// conflict: no line, no signature decision.
 			h.doomBy(c.ID, c.txSite(), forensics.NoLine, forensics.CauseToken, false, false)
+			m.wakeIfParked(h)
 		}
 	}
 }

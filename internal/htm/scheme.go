@@ -60,6 +60,15 @@ type VersionManager interface {
 	// use (SUV redirect filtering and table walk; identity elsewhere),
 	// returning lookup latency. It must have no transactional side
 	// effects: a NACKed access will call it again on retry.
+	//
+	// Translate may read only the requesting core's own state, the
+	// redirect state (m.Redirect) and the summary signature (m.Summary).
+	// The machine parks a requester whose retries repeat exactly and
+	// skips them until something they read could change, and it watches
+	// exactly those three for changes: c's own state is frozen while c
+	// is parked, and the redirect and summary packages signal their
+	// mutations. A scheme whose translation reads other shared state
+	// must signal when that state changes.
 	Translate(m *Machine, c *Core, line sim.Line, write bool) (sim.Line, sim.Cycles)
 
 	// Load returns the value of addr for c, given the translated

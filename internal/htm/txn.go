@@ -128,6 +128,9 @@ func (m *Machine) doCommitOpen(c *Core, compLen int) {
 	c.WriteSig.CopyFrom(frame.savedWriteSig)
 	c.readSet = frame.savedReadSet
 	c.writeSet = frame.savedWriteSet
+	if len(m.pk.parked) > 0 {
+		m.wakeHeldBy(c) // the child's isolation is released
+	}
 	parent := &c.Frames[top-1]
 	parent.comps = append(parent.comps, frame.comps...)
 	if compLen > 0 {
@@ -163,6 +166,7 @@ func (m *Machine) killLazyReaders(committer *Core) {
 				line, precise = commitWitness(committer, h)
 			}
 			h.doomBy(committer.ID, committer.txSite(), line, forensics.CauseCommitKill, true, precise)
+			m.wakeIfParked(h)
 		}
 	}
 }
@@ -226,6 +230,9 @@ func (m *Machine) sealCommit(c *Core) {
 		m.obs.onCommit(m, c)
 	}
 	m.closeIsolationWindow(c)
+	if len(m.pk.parked) > 0 {
+		m.wakeHeldBy(c)
+	}
 	c.Breakdown.Add(stats.Trans, c.attemptCyc)
 	c.Counters.TxCommitted++
 	if c.overflowedL1 {
@@ -279,6 +286,9 @@ func (m *Machine) finishAbort(c *Core) {
 	// Isolation was held through the whole roll-back window (the repair
 	// pathology): it releases only now.
 	m.closeIsolationWindow(c)
+	if len(m.pk.parked) > 0 {
+		m.wakeHeldBy(c)
+	}
 	outer := c.Frames[0]
 	var comps []compRange
 	for _, f := range c.Frames {

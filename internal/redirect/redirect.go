@@ -130,6 +130,14 @@ type Redirect struct {
 	// as if all slots were already pinned, forcing transactions through
 	// the degenerated software-structure overflow path.
 	pressured bool
+
+	// Mutation signals for a machine that skips repeated lookups (see
+	// Version and Watch): mapGen counts changes to the committed map,
+	// and while watching is set every line whose committed mapping or
+	// table residency changes is appended to touched.
+	mapGen   uint64
+	watching bool
+	touched  []sim.Line
 }
 
 // New creates the redirect state, drawing pool pages from alloc.
@@ -189,6 +197,8 @@ func (r *Redirect) Reset(cfg Config, alloc *mem.Allocator) {
 	r.inMemory.Clear()
 	r.eventsBuf = r.eventsBuf[:0]
 	r.pressured = false
+	r.mapGen = 0
+	r.Watch(false)
 }
 
 // Config returns the configuration.
@@ -329,6 +339,7 @@ func (r *Redirect) TxStore(core int, line sim.Line) StoreOutcome {
 		// Redirect-back (Figure 4(d)): the variable currently lives at
 		// g.pool; the new version goes back to the original address.
 		g.claimedBy = core
+		r.mapGen++
 		fillFrom := g.pool
 		r.trans[core].Put(line, transEntry{state: TransientDelete})
 		r.journals[core] = append(r.journals[core], journalRec{kind: journalClaim, line: line})
@@ -360,6 +371,7 @@ func (r *Redirect) pin(core int, line sim.Line, out *StoreOutcome) {
 		var evicted bool
 		victim, evicted, ok = r.l1[core].insert(line, true)
 		if evicted {
+			r.note(victim)
 			r.spillToL2(victim)
 		}
 	}
@@ -441,6 +453,8 @@ func (r *Redirect) applyCommit(core int, journal []journalRec) []CommitEvent {
 				r.global.Put(rec.line, globalEntry{pool: te.pool, claimedBy: -1})
 				events = append(events, CommitEvent{Line: rec.line, Added: true})
 			}
+			r.mapGen++
+			r.note(rec.line)
 			r.l1[core].unpin(rec.line)
 		case journalClaim:
 			if g, had := r.global.Get(rec.line); had && g.claimedBy == core {
@@ -476,9 +490,11 @@ func (r *Redirect) AbortFrame(core int) int {
 		case journalAdd:
 			r.pool.Release(te.pool)
 			r.l1[core].remove(rec.line)
+			r.note(rec.line)
 		case journalClaim:
 			if g := r.global.Ref(rec.line); g != nil && g.claimedBy == core {
 				g.claimedBy = -1
+				r.mapGen++
 			}
 			r.l1[core].unpin(rec.line)
 		}
@@ -507,6 +523,7 @@ func (r *Redirect) Pressured() bool { return r.pressured }
 func (r *Redirect) fillL1(core int, line sim.Line, pinned bool) {
 	victim, evicted, _ := r.l1[core].insert(line, pinned)
 	if evicted {
+		r.note(victim)
 		r.spillToL2(victim)
 	}
 }
@@ -514,6 +531,7 @@ func (r *Redirect) fillL1(core int, line sim.Line, pinned bool) {
 // fillL2 caches an entry line in the second level, spilling its victim to
 // the software structure in memory.
 func (r *Redirect) fillL2(line sim.Line) {
+	r.note(line)
 	victim, evicted := r.l2.insert(line)
 	if evicted {
 		if r.global.Has(victim) {
@@ -533,10 +551,60 @@ func (r *Redirect) spillToL2(line sim.Line) {
 
 // dropGlobal removes a committed mapping from every structure.
 func (r *Redirect) dropGlobal(line sim.Line) {
+	r.mapGen++
+	r.note(line)
 	r.global.Delete(line)
 	for _, t := range r.l1 {
 		t.remove(line)
 	}
 	r.l2.remove(line)
 	r.inMemory.Delete(line)
+}
+
+// Version returns a stamp of the shared redirect state a lookup reads
+// and may move: it changes whenever the committed map changes or the
+// second-level table's LRU clock advances (both only ever grow).
+func (r *Redirect) Version() uint64 { return r.mapGen + r.l2.clock }
+
+// L1Clock returns the LRU clock of core's first-level table, which
+// only core's own lookups and insertions advance.
+func (r *Redirect) L1Clock(core int) uint64 { return r.l1[core].clock }
+
+// TouchL1 applies n first-level hits on line by core at once, as n
+// lookups hitting core's first-level table would: the table clock
+// advances by n and line, when present, takes the newest stamp.
+//
+//suv:hotpath
+func (r *Redirect) TouchL1(core int, line sim.Line, n uint64) {
+	t := r.l1[core]
+	t.clock += n
+	if wi, ok := t.index.Get(line); ok {
+		t.ways[wi].lru = t.clock
+	}
+}
+
+// Watch turns line logging on or off; turning it off empties the log.
+// While on, every line whose committed mapping is added, repointed or
+// dropped, that is filled into the second-level table, or that leaves
+// a first-level table is logged, so a caller that skips repeated
+// lookups of a line learns when their outcome could change.
+func (r *Redirect) Watch(on bool) {
+	r.watching = on
+	r.touched = r.touched[:0]
+}
+
+// Touched returns the lines logged since the last ClearTouched. The
+// slice aliases the log and is valid until the next mutation.
+func (r *Redirect) Touched() []sim.Line { return r.touched }
+
+// ClearTouched empties the log.
+func (r *Redirect) ClearTouched() { r.touched = r.touched[:0] }
+
+// note logs line while watching.
+//
+//suv:hotpath
+func (r *Redirect) note(line sim.Line) {
+	if r.watching {
+		r.touched = append(r.touched, line)
+	}
 }

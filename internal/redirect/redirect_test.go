@@ -461,3 +461,91 @@ func TestTxStoreOutsideFramePanics(t *testing.T) {
 	}()
 	r.TxStore(0, 1)
 }
+
+// TestWatchLogsLineChanges pins the mutation signals a machine that
+// skips repeated lookups relies on: while watching, each change to a
+// line's committed mapping or table residency logs the line; Version
+// moves with the committed map and the second-level clock; nothing is
+// logged while not watching.
+func TestWatchLogsLineChanges(t *testing.T) {
+	r := testRedirect(2, 2)
+	logged := func(step string, want ...sim.Line) {
+		t.Helper()
+		got := append([]sim.Line(nil), r.Touched()...)
+		for _, w := range want {
+			found := false
+			for _, g := range got {
+				found = found || g == w
+			}
+			if !found {
+				t.Fatalf("%s: log %v lacks line %d", step, got, w)
+			}
+		}
+		r.ClearTouched()
+	}
+	r.BeginFrame(0)
+	r.TxStore(0, 100)
+	r.CommitFrame(0)
+	if len(r.Touched()) != 0 {
+		t.Fatalf("logged %v while not watching", r.Touched())
+	}
+
+	r.Watch(true)
+	v := r.Version()
+	r.BeginFrame(1)
+	r.TxStore(1, 100) // redirect-back claims the committed mapping
+	if r.Version() == v {
+		t.Fatal("claiming a committed mapping left Version unchanged")
+	}
+	r.CommitFrame(1) // drops the mapping
+	logged("drop", 100)
+
+	r.BeginFrame(0)
+	r.TxStore(0, 200)
+	r.CommitFrame(0) // adds a mapping
+	logged("add", 200)
+
+	r.BeginFrame(1)
+	r.TxStore(1, 300)
+	r.AbortFrame(1) // the transient entry leaves core 1's first-level table
+	logged("abort", 300)
+
+	v = r.Version()
+	r.Lookup(1, 200) // fills the entry into the second level and core 1's table
+	logged("fill", 200)
+	if r.Version() == v {
+		t.Fatal("a second-level fill left Version unchanged")
+	}
+
+	r.Watch(false)
+	if len(r.Touched()) != 0 {
+		t.Fatal("Watch(false) kept the log")
+	}
+}
+
+// TestTouchL1MatchesLookups pins the settle step: n first-level touches
+// at once leave the table exactly as n first-level lookup hits do.
+func TestTouchL1MatchesLookups(t *testing.T) {
+	a, b := testRedirect(1, 4), testRedirect(1, 4)
+	for _, r := range []*Redirect{a, b} {
+		for _, line := range []sim.Line{10, 20, 30} {
+			r.BeginFrame(0)
+			r.TxStore(0, line)
+			r.CommitFrame(0)
+		}
+	}
+	for i := 0; i < 7; i++ {
+		if out := a.Lookup(0, 20); out.Level != LevelL1 {
+			t.Fatalf("lookup level %v, want L1", out.Level)
+		}
+	}
+	b.TouchL1(0, 20, 7)
+	if a.L1Clock(0) != b.L1Clock(0) {
+		t.Fatalf("clock %d after lookups, %d after TouchL1", a.L1Clock(0), b.L1Clock(0))
+	}
+	wa, _ := a.l1[0].index.Get(20)
+	wb, _ := b.l1[0].index.Get(20)
+	if a.l1[0].ways[wa] != b.l1[0].ways[wb] {
+		t.Fatalf("way %+v after lookups, %+v after TouchL1", a.l1[0].ways[wa], b.l1[0].ways[wb])
+	}
+}

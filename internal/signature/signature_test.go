@@ -188,3 +188,26 @@ func TestBloomBitString(t *testing.T) {
 		t.Fatalf("BitString = %s", got)
 	}
 }
+
+// TestSummaryMutationsCountChanges pins the summary's mutation signal:
+// every call that can change an answer moves the count, and Test does not.
+func TestSummaryMutationsCountChanges(t *testing.T) {
+	s := NewSummary(64, HashH3)
+	n := s.Mutations()
+	s.Test(5)
+	if s.Mutations() != n {
+		t.Fatal("Test moved the mutation count")
+	}
+	for i, mutate := range []func(){
+		func() { s.Add(5) },
+		func() { s.Delete(5) },
+		func() { s.SetSaturated(true) },
+		func() { s.Clear() },
+	} {
+		mutate()
+		if s.Mutations() == n {
+			t.Fatalf("mutation %d left the count unchanged", i)
+		}
+		n = s.Mutations()
+	}
+}

@@ -30,6 +30,10 @@ type Summary struct {
 	// one every single memory access starts from (strong isolation makes
 	// Test a universal prefix of the load/store path).
 	live int
+	// muts counts the calls that may change Test's answers (Add, Delete,
+	// Clear, SetSaturated): the mutation signal for callers that cache
+	// an answer.
+	muts uint64
 }
 
 // NewSummary creates a summary signature with numBits bits (a power of
@@ -47,6 +51,7 @@ func (s *Summary) Bits() uint32 { return s.bits }
 
 // Add records that line is now redirected.
 func (s *Summary) Add(line sim.Line) {
+	s.muts++
 	var idx [NumHashes]uint32
 	hashIndices(s.kind, line, s.bits, &idx)
 	for _, i := range idx {
@@ -65,6 +70,7 @@ func (s *Summary) Add(line sim.Line) {
 // Bits shared with other addresses are left set, so the summary remains
 // a superset of the redirected set (Figure 5, "Deleting @1").
 func (s *Summary) Delete(line sim.Line) {
+	s.muts++
 	var idx [NumHashes]uint32
 	hashIndices(s.kind, line, s.bits, &idx)
 	for _, i := range idx {
@@ -98,19 +104,27 @@ func (s *Summary) Test(line sim.Line) bool {
 
 // SetSaturated forces (or releases) the saturation overlay; see the
 // field comment.
-func (s *Summary) SetSaturated(on bool) { s.saturated = on }
+func (s *Summary) SetSaturated(on bool) {
+	s.muts++
+	s.saturated = on
+}
 
 // Saturated reports whether the saturation overlay is active.
 func (s *Summary) Saturated() bool { return s.saturated }
 
 // Clear resets both the signature and the bit-vector.
 func (s *Summary) Clear() {
+	s.muts++
 	for i := range s.sig {
 		s.sig[i] = 0
 		s.once[i] = 0
 	}
 	s.live = 0
 }
+
+// Mutations returns how many calls so far could have changed Test's
+// answers; an unchanged count means every answer is unchanged.
+func (s *Summary) Mutations() uint64 { return s.muts }
 
 // SigBitString renders the low n signature bits MSB-first (Figure 5 tests).
 func (s *Summary) SigBitString(n uint32) string { return bitString(s.sig, n) }
