@@ -18,7 +18,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"suvtm/internal/faults"
 	"suvtm/internal/htm"
 	"suvtm/internal/mem"
 	"suvtm/internal/runcache"
@@ -542,52 +541,30 @@ func Cacheable(spec Spec) bool {
 // counters; suvd's load-shedding ladder uses it to admit only
 // cache-servable work when degraded.
 func Cached(spec Spec) bool {
-	if !Cacheable(spec) {
-		return false
-	}
-	key, err := fingerprintOf(spec)
-	if err != nil {
-		return false
-	}
-	return fleetCache.Load().Peek(key)
+	return Cacheable(spec) && fleetCache.Load().Peek(fingerprintOf(spec))
 }
 
-// fingerprintOf resolves spec exactly as runSpec does — defaults
-// applied, progress ladder armed for fault runs, Spec.Tweak applied to
-// the Table III config — and digests the canonical encoding. Tweak
-// closures must therefore be deterministic functions of the config
-// alone (every sweep/ablation tweak is).
-func fingerprintOf(spec Spec) (runcache.Key, error) {
+// fingerprintOf resolves a pure spec exactly as runSpec does — defaults
+// applied, Spec.Tweak applied to the Table III config — and digests the
+// canonical encoding. Only Cacheable specs reach it, so there is no
+// fault plan to resolve and the fault-plan text is empty. Tweak closures
+// must be deterministic functions of the config alone (every
+// sweep/ablation tweak is).
+func fingerprintOf(spec Spec) runcache.Key {
 	cores, seed, scale := spec.resolved()
-	plan := spec.Faults
-	if plan == nil && spec.FaultPlan != "" {
-		fseed := spec.FaultSeed
-		if fseed == 0 {
-			fseed = 1
-		}
-		var err error
-		plan, err = faults.Builtin(spec.FaultPlan, fseed, cores)
-		if err != nil {
-			return runcache.Key{}, err
-		}
-	}
 	cfg := htm.DefaultConfig(cores)
 	cfg.Seed = seed
-	if plan != nil {
-		cfg = cfg.WithProgressLadder()
-	}
 	if spec.Tweak != nil {
-		spec.Tweak(&cfg)
+		cfg = tweaked(cfg, spec.Tweak)
 	}
-	var planText string
-	if plan != nil {
-		var err error
-		planText, err = faults.EncodeString(plan)
-		if err != nil {
-			return runcache.Key{}, err
-		}
-	}
-	return runcache.KeyOf(spec.App, string(spec.Scheme), cores, seed, scale, cfg, planText), nil
+	return runcache.KeyOf(spec.App, string(spec.Scheme), cores, seed, scale, cfg, "")
+}
+
+// tweaked returns cfg after tweak. The copy escapes into the closure, so
+// only a tweaked spec's fingerprint allocates.
+func tweaked(cfg htm.Config, tweak func(*htm.Config)) htm.Config {
+	tweak(&cfg)
+	return cfg
 }
 
 // runCachedSpec is runSpec behind the cache: bypass impure specs, serve
@@ -602,15 +579,11 @@ func runCachedSpec(spec Spec, arena *machineArena, o BatchOptions) (*Outcome, er
 		c.Bypass()
 		return runSpec(spec, arena)
 	}
-	key, err := fingerprintOf(spec)
-	if err != nil {
-		// Fingerprinting failed (unresolvable spec); let the live path
-		// produce the authoritative error.
-		return runSpec(spec, arena)
-	}
+	key := fingerprintOf(spec)
 	e, ok := c.Get(key)
 	if !ok {
 		var out *Outcome
+		var err error
 		if e, out, err = runMiss(c, key, spec, arena); e == nil {
 			return out, err
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"suvtm/internal/htm"
+	"suvtm/internal/runcache"
 )
 
 // fleetSpec is a small, fast run the cache tests reuse.
@@ -115,10 +116,7 @@ func TestRunCacheVerify(t *testing.T) {
 	}
 
 	// Poison the cached entry; the next hit must fail loudly.
-	key, err := fingerprintOf(fleetSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := fingerprintOf(fleetSpec)
 	e, ok := fleetCache.Load().Get(key)
 	if !ok {
 		t.Fatal("entry vanished")
@@ -188,10 +186,7 @@ func TestRunCacheDiskTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := fingerprintOf(fleetSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := fingerprintOf(fleetSpec)
 	path := fleetCache.Load().EntryPath(key)
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("entry not persisted: %v", err)
@@ -229,6 +224,26 @@ func TestRunCacheDiskTier(t *testing.T) {
 	s := FleetSnapshot()
 	if s.Corrupt != 1 || s.Misses != 1 {
 		t.Errorf("fleet stats = %+v", s)
+	}
+}
+
+// TestFingerprintHotPathAllocs pins the warm path's fingerprint cost:
+// KeyOf builds and hashes its preimage on the stack, and fingerprintOf
+// adds at most the tweaked config, which escapes into the Tweak closure.
+func TestFingerprintHotPathAllocs(t *testing.T) {
+	cfg := htm.DefaultConfig(16)
+	if n := testing.AllocsPerRun(100, func() {
+		runcache.KeyOf("yada", string(SUVTM), 16, 1_000_001, 1, cfg, "")
+	}); n != 0 {
+		t.Errorf("KeyOf allocates %v times", n)
+	}
+	spec := Spec{App: "yada", Scheme: SUVTM, Cores: 16, Seed: 1_000_001, Scale: 1}
+	if n := testing.AllocsPerRun(100, func() { fingerprintOf(spec) }); n != 0 {
+		t.Errorf("fingerprintOf of a pure spec allocates %v times", n)
+	}
+	spec.Tweak = func(c *htm.Config) { c.Redirect.L1Entries = 64 }
+	if n := testing.AllocsPerRun(100, func() { fingerprintOf(spec) }); n > 1 {
+		t.Errorf("fingerprintOf of a tweaked pure spec allocates %v times", n)
 	}
 }
 
