@@ -27,8 +27,9 @@ import (
 )
 
 // BatchOptions tunes a RunManyWith batch. The zero value is the
-// default fleet behavior: GOMAXPROCS workers, arenas on, cache on,
-// straggler-aware dispatch, stop dispatching after the first failure.
+// default fleet behavior: GOMAXPROCS workers, cache on, stop
+// dispatching after the first failure. Every batch reuses per-worker
+// arenas and dispatches longest-expected-first.
 type BatchOptions struct {
 	// Context, when non-nil, cancels dispatch: once it is done, workers
 	// finish their in-flight run and stop pulling queued specs — even
@@ -42,26 +43,17 @@ type BatchOptions struct {
 	// KeepGoing runs every spec even after one fails (chaos sweeps want
 	// each cell's individual verdict).
 	KeepGoing bool
-	// NoArena cold-constructs every machine instead of reusing
-	// per-worker arenas (baseline measurements).
-	NoArena bool
-	// NoSchedule dispatches in submission order instead of
-	// longest-expected-first.
-	NoSchedule bool
 	// NoCache skips the run cache entirely.
 	NoCache bool
 	// OnProgress, when non-nil, streams a FleetProgress snapshot after
-	// every ProgressEvery completed runs (and once when the batch
-	// drains). It is the telemetry seam a long campaign's consumer —
-	// a progress bar, the future suvd — wires to. The callback runs on a
-	// worker goroutine under the batch's progress lock: keep it fast and
-	// do not call back into the fleet from inside it.
+	// every completed run, failures included. Progress is count-based,
+	// never wall-clock-based, so streaming stays deterministic for a
+	// fixed batch regardless of host timing. It is the telemetry seam a
+	// long campaign's consumer — a progress bar, suvd — wires to. The
+	// callback runs on a worker goroutine under the batch's progress
+	// lock: keep it fast and do not call back into the fleet from inside
+	// it.
 	OnProgress func(FleetProgress)
-	// ProgressEvery is the completed-run granularity of OnProgress
-	// (<=0 = every completion). Progress is count-based, never
-	// wall-clock-based, so streaming stays deterministic for a fixed
-	// batch regardless of host timing.
-	ProgressEvery int
 }
 
 // SchemeProgress is one scheme's live totals within a running batch,
@@ -105,14 +97,12 @@ func (p FleetProgress) String() string {
 }
 
 // progressTracker accumulates per-scheme totals as runs complete and
-// emits snapshots at the configured granularity.
+// emits a snapshot after each one.
 type progressTracker struct {
 	mu      sync.Mutex
 	total   int
 	done    int
 	failed  int
-	every   int
-	sinceCb int
 	schemes map[Scheme]*SchemeProgress
 	emit    func(FleetProgress)
 }
@@ -121,20 +111,15 @@ func newProgressTracker(total int, o BatchOptions) *progressTracker {
 	if o.OnProgress == nil {
 		return nil
 	}
-	every := o.ProgressEvery
-	if every <= 0 {
-		every = 1
-	}
 	return &progressTracker{
 		total:   total,
-		every:   every,
 		schemes: make(map[Scheme]*SchemeProgress),
 		emit:    o.OnProgress,
 	}
 }
 
-// complete records one finished run and emits a snapshot when due. A
-// nil tracker (no OnProgress) is a no-op.
+// complete records one finished run and emits a snapshot. A nil
+// tracker (no OnProgress) is a no-op.
 func (t *progressTracker) complete(spec Spec, out *Outcome, err error) {
 	if t == nil {
 		return
@@ -142,7 +127,6 @@ func (t *progressTracker) complete(spec Spec, out *Outcome, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.done++
-	t.sinceCb++
 	sp, ok := t.schemes[spec.Scheme]
 	if !ok {
 		sp = &SchemeProgress{Scheme: spec.Scheme}
@@ -164,25 +148,7 @@ func (t *progressTracker) complete(spec Spec, out *Outcome, err error) {
 			sp.FalsePositives += out.Counters.FalsePositive
 		}
 	}
-	if t.sinceCb >= t.every || t.done == t.total {
-		t.sinceCb = 0
-		t.emit(t.snapshotLocked())
-	}
-}
-
-// finish emits the final snapshot if completions are still unreported
-// (a batch that stopped dispatching after a failure never reaches
-// done == total).
-func (t *progressTracker) finish() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.sinceCb > 0 {
-		t.sinceCb = 0
-		t.emit(t.snapshotLocked())
-	}
+	t.emit(t.snapshotLocked())
 }
 
 // snapshotLocked builds a deterministic snapshot; the caller holds mu.
@@ -246,11 +212,8 @@ func runBatch(specs []Spec, o BatchOptions) ([]*Outcome, []error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	order := dispatchOrder(specs, o)
-	var keep map[workloadKey]bool
-	if !o.NoArena {
-		keep = batchKeys(specs)
-	}
+	order := dispatchOrder(specs)
+	keep := batchKeys(specs)
 	outcomes := make([]*Outcome, len(specs))
 	errs := make([]error, len(specs))
 	progress := newProgressTracker(len(specs), o)
@@ -261,12 +224,9 @@ func runBatch(specs []Spec, o BatchOptions) ([]*Outcome, []error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var arena *machineArena
-			if !o.NoArena {
-				arena = arenaPool.Get().(*machineArena)
-				arena.prune(keep)
-				defer arenaPool.Put(arena)
-			}
+			arena := arenaPool.Get().(*machineArena)
+			arena.prune(keep)
+			defer arenaPool.Put(arena)
 			for {
 				if ctx.Err() != nil {
 					return
@@ -290,7 +250,6 @@ func runBatch(specs []Spec, o BatchOptions) ([]*Outcome, []error) {
 		}()
 	}
 	wg.Wait()
-	progress.finish()
 	return outcomes, errs
 }
 
@@ -693,12 +652,12 @@ var (
 // slow bayes run starts immediately instead of serializing the tail of
 // the batch. The sort is stable, keeping submission order among equals
 // — a batch of identical specs (chaos replays) executes unchanged.
-func dispatchOrder(specs []Spec, o BatchOptions) []int {
+func dispatchOrder(specs []Spec) []int {
 	order := make([]int, len(specs))
 	for i := range order {
 		order[i] = i
 	}
-	if o.NoSchedule || len(specs) < 2 {
+	if len(specs) < 2 {
 		return order
 	}
 	cost := make([]float64, len(specs))

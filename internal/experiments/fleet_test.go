@@ -13,6 +13,15 @@ import (
 // fleetSpec is a small, fast run the cache tests reuse.
 var fleetSpec = Spec{App: "intruder", Scheme: SUVTM, Cores: 4, Scale: 0.05}
 
+// fleetSpecs returns fleetSpec and a copy of it that fails with an
+// unknown scheme. Both have the same app and scale, so the same
+// expected cost: a batch of them dispatches in submission order.
+func fleetSpecs() (good, bad Spec) {
+	bad = fleetSpec
+	bad.Scheme = "no-such-scheme"
+	return fleetSpec, bad
+}
+
 // resetFleetForTest gives each test a cold cache with no disk tier and
 // restores nothing (tests run sequentially in one package).
 func resetFleetForTest(t *testing.T) {
@@ -40,14 +49,14 @@ func sameOutcome(a, b *Outcome) bool {
 // dispatched, but outcomes computed before the failure are kept.
 func TestRunManyStopsAfterFailure(t *testing.T) {
 	resetFleetForTest(t)
-	good := fleetSpec
-	bad := Spec{App: "no-such-app", Scheme: SUVTM}
+	good, bad := fleetSpecs()
 	specs := []Spec{good, bad, good, good, good}
-	// One worker + submission order makes the schedule deterministic:
-	// the good spec at index 0 runs, index 1 fails, 2..4 never dispatch.
-	outs, err := RunManyWith(specs, BatchOptions{Jobs: 1, NoSchedule: true})
+	// One worker makes the schedule deterministic: every spec has the
+	// same expected cost, so dispatch keeps submission order. The good
+	// spec at index 0 runs, index 1 fails, 2..4 never dispatch.
+	outs, err := RunManyWith(specs, BatchOptions{Jobs: 1})
 	if err == nil {
-		t.Fatal("expected the unknown-app error")
+		t.Fatal("expected the unknown-scheme error")
 	}
 	if outs[0] == nil || outs[0].Result == nil {
 		t.Error("outcome computed before the failure was dropped")
@@ -59,7 +68,7 @@ func TestRunManyStopsAfterFailure(t *testing.T) {
 	}
 
 	// KeepGoing restores the run-everything behavior chaos sweeps need.
-	outs, errs := runBatch(specs, BatchOptions{Jobs: 1, NoSchedule: true, KeepGoing: true})
+	outs, errs := runBatch(specs, BatchOptions{Jobs: 1, KeepGoing: true})
 	for i := range specs {
 		wantErr := i == 1
 		if (errs[i] != nil) != wantErr {
@@ -328,8 +337,7 @@ func TestFleetFollowerRunsWhenLeaderFails(t *testing.T) {
 	}
 }
 
-// TestDispatchOrder: longest-expected-first, stable among equals, and
-// submission order under NoSchedule.
+// TestDispatchOrder: longest-expected-first, stable among equals.
 func TestDispatchOrder(t *testing.T) {
 	costMu.Lock()
 	costTable["intruder"] = 1000
@@ -342,14 +350,10 @@ func TestDispatchOrder(t *testing.T) {
 		{App: "intruder", Scheme: SUVTM},
 		{App: "bayes", Scheme: SUVTM, Scale: 0.5}, // half the expected work
 	}
-	got := dispatchOrder(specs, BatchOptions{})
+	got := dispatchOrder(specs)
 	want := []int{1, 3, 2, 0} // bayes, bayes@0.5, intruder, kmeans
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("dispatch order = %v, want %v", got, want)
-	}
-	got = dispatchOrder(specs, BatchOptions{NoSchedule: true})
-	if !reflect.DeepEqual(got, []int{0, 1, 2, 3}) {
-		t.Errorf("NoSchedule order = %v", got)
 	}
 
 	// Identical specs keep submission order (chaos replay pairs).
@@ -357,7 +361,7 @@ func TestDispatchOrder(t *testing.T) {
 		{App: "intruder", Scheme: SUVTM},
 		{App: "intruder", Scheme: SUVTM},
 	}
-	if got := dispatchOrder(same, BatchOptions{}); !reflect.DeepEqual(got, []int{0, 1}) {
+	if got := dispatchOrder(same); !reflect.DeepEqual(got, []int{0, 1}) {
 		t.Errorf("equal-cost order = %v, want [0 1]", got)
 	}
 }
@@ -370,11 +374,12 @@ func TestRunManyContextCancel(t *testing.T) {
 	resetFleetForTest(t)
 	specs := []Spec{fleetSpec, fleetSpec, fleetSpec, fleetSpec, fleetSpec}
 	ctx, cancel := context.WithCancel(context.Background())
-	// One worker + submission order + per-completion progress makes the
-	// schedule deterministic: the callback cancels after run 0, so runs
-	// 1..4 must never dispatch. NoCache keeps every dispatch a real run.
+	// One worker + identical specs (dispatched in submission order) +
+	// per-completion progress makes the schedule deterministic: the
+	// callback cancels after run 0, so runs 1..4 must never dispatch.
+	// NoCache keeps every dispatch a real run.
 	outs, err := RunManyWith(specs, BatchOptions{
-		Jobs: 1, NoSchedule: true, NoCache: true, KeepGoing: true,
+		Jobs: 1, NoCache: true, KeepGoing: true,
 		Context:    ctx,
 		OnProgress: func(FleetProgress) { cancel() },
 	})
@@ -412,6 +417,53 @@ func TestRunManyContextCancel(t *testing.T) {
 		if o == nil || o.Result == nil {
 			t.Errorf("spec %d missing outcome", i)
 		}
+	}
+}
+
+// TestFleetProgressEveryCompletion pins the OnProgress contract: one
+// snapshot per completed run, failures included, with Done rising by one
+// each time — also when a failure stops dispatch before Done reaches
+// Total.
+func TestFleetProgressEveryCompletion(t *testing.T) {
+	resetFleetForTest(t)
+	var specs []Spec
+	for seed := uint64(1); seed <= 4; seed++ {
+		s := fleetSpec
+		s.Seed = seed
+		specs = append(specs, s)
+	}
+	// The callback runs under the batch's progress lock, so appends
+	// from different workers never interleave.
+	var snaps []FleetProgress
+	record := func(p FleetProgress) { snaps = append(snaps, p) }
+	if _, err := RunManyWith(specs, BatchOptions{Jobs: 2, OnProgress: record}); err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) != len(specs) {
+		t.Fatalf("%d snapshots for %d runs", len(snaps), len(specs))
+	}
+	for i, p := range snaps {
+		if p.Done != i+1 || p.Total != len(specs) || p.Failed != 0 {
+			t.Errorf("snapshot %d reads %d/%d done, %d failed; want %d/%d, 0", i, p.Done, p.Total, p.Failed, i+1, len(specs))
+		}
+	}
+	if s := snaps[len(snaps)-1].Schemes; len(s) != 1 || s[0].Runs != len(specs) {
+		t.Errorf("final per-scheme totals = %+v, want one scheme with %d runs", s, len(specs))
+	}
+
+	// One worker in submission order: good runs, bad fails, and the two
+	// good specs after it never dispatch. The last snapshot must still
+	// report the failed run.
+	good, bad := fleetSpecs()
+	snaps = nil
+	if _, err := RunManyWith([]Spec{good, bad, good, good}, BatchOptions{Jobs: 1, OnProgress: record}); err == nil {
+		t.Fatal("expected the unknown-scheme error")
+	}
+	if len(snaps) != 2 {
+		t.Fatalf("%d snapshots for 2 completed runs", len(snaps))
+	}
+	if last := snaps[1]; last.Done != 2 || last.Failed != 1 || last.Total != 4 {
+		t.Errorf("last snapshot reads %d/%d done, %d failed; want 2/4, 1", last.Done, last.Total, last.Failed)
 	}
 }
 

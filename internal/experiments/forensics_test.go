@@ -119,7 +119,6 @@ func TestForensicsFleetRace(t *testing.T) {
 			snaps = append(snaps, p)
 			mu.Unlock()
 		},
-		ProgressEvery: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -20,20 +20,12 @@ import (
 var goldenOutcomesPath = filepath.Join("testdata", "golden", "outcomes.txt")
 
 // goldenRuns is the pinned grid: the paper's Figure 6 and Figure 9
-// schemes over the eight STAMP apps at 16 cores, plus the two synthetic
-// apps whose fixed layouts (stripe-interleaved pool pages, hashed record
-// placement) decide simulated addresses, under the three Figure 6
-// schemes at 8 cores. All at seed 1, scale 0.2.
+// schemes over the eight STAMP apps at 16 cores, seed 1, scale 0.2.
 func goldenRuns() []Spec {
 	var specs []Spec
 	for _, app := range workload.StampApps {
 		for _, s := range AllSchemes {
 			specs = append(specs, Spec{App: app, Scheme: s, Cores: 16, Seed: 1, Scale: 0.2})
-		}
-	}
-	for _, app := range []string{"sessionstore", "intruderscan"} {
-		for _, s := range Fig6Schemes {
-			specs = append(specs, Spec{App: app, Scheme: s, Cores: 8, Seed: 1, Scale: 0.2})
 		}
 	}
 	return specs

@@ -8,55 +8,8 @@ import (
 	"suvtm/internal/stats"
 )
 
-// SeedStats summarizes one (app, scheme) configuration over several
-// seeds: simulation results are deterministic per seed, so the spread
-// here is the workload's sensitivity to interleaving, not measurement
-// noise.
-type SeedStats struct {
-	Spec     Spec
-	Seeds    []uint64
-	Cycles   []float64
-	AbortPct []float64
-}
-
-// RunSeeds executes spec once per seed.
-func RunSeeds(spec Spec, seeds []uint64) (*SeedStats, error) {
-	specs := make([]Spec, len(seeds))
-	for i, s := range seeds {
-		sp := spec
-		sp.Seed = s
-		specs[i] = sp
-	}
-	outs, err := RunMany(specs)
-	if err != nil {
-		return nil, err
-	}
-	st := &SeedStats{Spec: spec, Seeds: append([]uint64(nil), seeds...)}
-	for _, out := range outs {
-		if out.CheckErr != nil {
-			return nil, fmt.Errorf("seed %d: %w", out.Spec.Seed, out.CheckErr)
-		}
-		st.Cycles = append(st.Cycles, float64(out.Cycles))
-		st.AbortPct = append(st.AbortPct, 100*out.Counters.AbortRatio())
-	}
-	return st, nil
-}
-
-// MeanCycles returns the mean simulated cycles across seeds.
-func (s *SeedStats) MeanCycles() float64 { return stats.Mean(s.Cycles) }
-
-// StdevCycles returns the sample standard deviation of cycles.
-func (s *SeedStats) StdevCycles() float64 { return stdev(s.Cycles) }
-
-// CV returns the coefficient of variation of cycles (stdev/mean).
-func (s *SeedStats) CV() float64 {
-	m := s.MeanCycles()
-	if m == 0 {
-		return 0
-	}
-	return s.StdevCycles() / m
-}
-
+// stdev returns the sample standard deviation of xs (0 below two
+// samples).
 func stdev(xs []float64) float64 {
 	if len(xs) < 2 {
 		return 0

@@ -157,16 +157,6 @@ func (c *Core) InTx() bool { return len(c.Frames) > 0 }
 // unrelated work).
 func (c *Core) TxActive() bool { return len(c.Frames) > 0 && !c.suspended }
 
-// DoomTx marks the core's current transaction for abort at its next
-// step. Version managers use it when a lazy transaction's speculative
-// state overflows the hardware that holds it (a self-inflicted kill:
-// the core itself is recorded as the killer).
-func (c *Core) DoomTx() {
-	if c.InTx() {
-		c.doomBy(c.ID, c.txSite(), forensics.NoLine, forensics.CauseOverflow, false, false)
-	}
-}
-
 // doomBy marks the core's transaction for abort on behalf of killer
 // (a committing lazy transaction, a non-transactional store, the
 // older-wins policy, a token grant), remembering who for the trace and
@@ -201,9 +191,6 @@ func (c *Core) InReadSet(line sim.Line) bool {
 func (c *Core) InWriteSet(line sim.Line) bool {
 	return c.writeSet.Has(line)
 }
-
-// WriteSetSize returns the number of distinct lines written this attempt.
-func (c *Core) WriteSetSize() int { return c.writeSet.Len() }
 
 // trackRead records line in the read signature and precise set.
 func (c *Core) trackRead(line sim.Line) {

@@ -189,9 +189,6 @@ func (m *Machine) Config() Config { return m.cfg }
 // Run; tracing begins immediately.
 func (m *Machine) SetTracer(r *trace.Recorder) { m.tracer = r }
 
-// Tracer returns the attached recorder (possibly nil).
-func (m *Machine) Tracer() *trace.Recorder { return m.tracer }
-
 // ArchMem returns the architectural view of memory: reads resolve
 // through the committed redirect map, so callers see the value a program
 // load would return at each address. Use it for post-run invariant

@@ -271,9 +271,8 @@ func (m *Machine) settle(id int, k uint64) {
 }
 
 // wakeIfParked wakes c when it is parked: a doom or a rising
-// possible-cycle flag changes its next retry. Every machine doom site
-// calls it; Core.DoomTx dooms the core being stepped, which is never
-// parked.
+// possible-cycle flag changes its next retry. Every doom site calls
+// it.
 func (m *Machine) wakeIfParked(c *Core) {
 	if len(m.pk.parked) > 0 && m.pk.slots[c.ID].on {
 		m.wake(c.ID, m.now, m.pk.stepID)

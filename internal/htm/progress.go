@@ -20,11 +20,9 @@ import (
 // (releasing their signatures), suspended ones as soon as their filler
 // work resumes them, so every conflict against the holder drains in
 // bounded time. The holder itself is immune to the three remote-doom
-// sites and to possible-cycle self-abort — it can only stall, never die
-// (a self-inflicted DoomTx from speculative-buffer overflow remains
-// allowed: it is the scheme's own degradation trigger and the selector
-// does not repeat the choice). The holder therefore commits, releasing
-// the token and waking the parked cores.
+// sites and to possible-cycle self-abort — it can only stall, never die.
+// The holder therefore commits, releasing the token and waking the
+// parked cores.
 
 // SetFaults attaches a fault injector driving a chaos plan (nil runs
 // fault-free). Attach before Run.

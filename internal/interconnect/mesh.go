@@ -59,12 +59,6 @@ func Dimensions(n int) (w, h int) {
 	return n / best, best
 }
 
-// Width returns the mesh width in tiles.
-func (m *Mesh) Width() int { return m.width }
-
-// Height returns the mesh height in tiles.
-func (m *Mesh) Height() int { return m.height }
-
 // Tiles returns the total number of tiles.
 func (m *Mesh) Tiles() int { return m.width * m.height }
 

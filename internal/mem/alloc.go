@@ -57,8 +57,5 @@ func (a *Allocator) AllocPage() sim.Addr {
 	return a.Alloc(PageBytes, PageBytes)
 }
 
-// Used returns the number of bytes handed out so far.
-func (a *Allocator) Used(base sim.Addr) uint64 { return uint64(a.next - base) }
-
-// Next returns the next free address (tests).
+// Next returns the next free address.
 func (a *Allocator) Next() sim.Addr { return a.next }

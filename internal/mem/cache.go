@@ -200,12 +200,6 @@ func (c *Cache) Peek(line sim.Line) (LineState, bool) {
 	return w.state, true
 }
 
-// IsSpec reports whether line is present and holds speculative data.
-func (c *Cache) IsSpec(line sim.Line) bool {
-	w := c.find(line)
-	return w != nil && w.spec
-}
-
 // IsDirty reports whether line is present and dirty.
 func (c *Cache) IsDirty(line sim.Line) bool {
 	w := c.find(line)

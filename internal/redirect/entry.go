@@ -8,11 +8,7 @@
 // keeps the table small under repeated updates to the same variable.
 package redirect
 
-import (
-	"fmt"
-
-	"suvtm/internal/sim"
-)
+import "fmt"
 
 // State is a redirect entry's state, encoded by the (global, valid) bit
 // pair of Table II.
@@ -46,92 +42,4 @@ func (s State) String() string {
 		return "transient-delete"
 	}
 	return fmt.Sprintf("State(%d)", uint8(s))
-}
-
-// Bits returns the (global, valid) encoding of Table II.
-func (s State) Bits() (global, valid bool) {
-	switch s {
-	case GlobalValid:
-		return true, true
-	case TransientAdd:
-		return false, true
-	case TransientDelete:
-		return true, false
-	case Free:
-		return false, false
-	default:
-		panic("redirect: Bits on impossible state")
-	}
-}
-
-// StateFromBits decodes a (global, valid) pair.
-func StateFromBits(global, valid bool) State {
-	switch {
-	case global && valid:
-		return GlobalValid
-	case !global && valid:
-		return TransientAdd
-	case global && !valid:
-		return TransientDelete
-	}
-	return Free
-}
-
-// Entry is one redirect mapping: accesses to Orig are redirected to Pool
-// (a line in the preserved pool) according to the entry's state. Owner is
-// the core whose transaction holds the entry while it is transient.
-type Entry struct {
-	Orig  sim.Line
-	Pool  sim.Line
-	state State
-	Owner int
-}
-
-// State returns the entry's current state.
-func (e *Entry) State() State { return e.state }
-
-// TargetFor returns the line an access to e.Orig by core should use,
-// applying the visibility rules of Table II.
-func (e *Entry) TargetFor(core int) sim.Line {
-	switch e.state {
-	case GlobalValid:
-		return e.Pool
-	case TransientAdd:
-		if core == e.Owner {
-			return e.Pool
-		}
-		return e.Orig
-	case TransientDelete:
-		if core == e.Owner {
-			return e.Orig
-		}
-		return e.Pool
-	case Free:
-		// A free entry maps nothing: accesses go to the original line.
-		return e.Orig
-	default:
-		panic("redirect: TargetFor on impossible state")
-	}
-}
-
-// CommitState returns the entry's post-commit state per Figure 4(e):
-// valid=1 entries set the global bit (transient adds publish), valid=0
-// entries clear it (transient deletes free the slot).
-func (e *Entry) CommitState() State {
-	_, valid := e.state.Bits()
-	if valid {
-		return GlobalValid
-	}
-	return Free
-}
-
-// AbortState returns the entry's post-abort state per Figure 4(f):
-// global=1 entries restore the valid bit (transient deletes revert to
-// globally valid), global=0 entries clear it (transient adds vanish).
-func (e *Entry) AbortState() State {
-	global, _ := e.state.Bits()
-	if global {
-		return GlobalValid
-	}
-	return Free
 }

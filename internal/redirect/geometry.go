@@ -7,12 +7,12 @@ import (
 	"suvtm/internal/sim"
 )
 
-// Geometry reproduces the redirect-entry bit layout of Figure 3 and the
-// per-core storage arithmetic of Section V-C. A first-level entry does
-// not store full addresses: the original address is reconstructed from
-// the stored L1 data-cache set-index bits plus the cache tag, and the
-// redirected address from a TLB index (the preserved-pool page) plus an
-// in-page line offset.
+// Geometry reproduces the redirect-entry bit layout of Figure 3
+// (cactimodel.SectionVC does the per-core storage arithmetic of Section
+// V-C). A first-level entry does not store full addresses: the original
+// address is reconstructed from the stored L1 data-cache set-index bits
+// plus the cache tag, and the redirected address from a TLB index (the
+// preserved-pool page) plus an in-page line offset.
 type Geometry struct {
 	L1IndexBits  int // L1 data-cache set-index bits stored in the entry
 	StateBits    int // global + valid (Table II)
@@ -36,13 +36,4 @@ func NewGeometry(l1 mem.CacheConfig, tlbEntries int) Geometry {
 // 7-bit in-page offset).
 func (g Geometry) EntryBits() int {
 	return g.L1IndexBits + g.StateBits + g.TLBIndexBits + g.OffsetBits
-}
-
-// PerCoreStorageBytes returns the per-core SUV memory-element cost of
-// Section V-C: the redirect summary signature, its companion bit-vector
-// and the first-level table payload. The paper's configuration
-// (2 Kbit + 2 Kbit + 22 b x 512) yields 1.875 KiB ~ 5.86% of a 32 KiB L1.
-func (g Geometry) PerCoreStorageBytes(summaryBits, onceBits uint32, l1Entries int) float64 {
-	totalBits := float64(summaryBits) + float64(onceBits) + float64(g.EntryBits()*l1Entries)
-	return totalBits / 8
 }

@@ -33,7 +33,6 @@ type Pool struct {
 	// is told the allocation went through software reclamation so it can
 	// charge the stall and count the graceful degradation.
 	exhausted bool
-	reclaims  uint64
 }
 
 // PoolInterleave is the placement alignment of preserved-pool pages: 64
@@ -62,7 +61,6 @@ func (p *Pool) Reset(alloc *mem.Allocator) {
 	p.linesLeft = 0
 	p.pages = 0
 	p.exhausted = false
-	p.reclaims = 0
 }
 
 // Alloc returns a fresh pool line, reusing freed lines first and
@@ -70,9 +68,6 @@ func (p *Pool) Reset(alloc *mem.Allocator) {
 // rotates across the group's interleaved pages, so consecutive
 // allocations land on different pages.
 func (p *Pool) Alloc() sim.Line {
-	if p.exhausted {
-		p.reclaims++
-	}
 	if n := len(p.free); n > 0 {
 		line := p.free[n-1]
 		p.free = p.free[:n-1]
@@ -111,7 +106,3 @@ func (p *Pool) SetExhausted(on bool) { p.exhausted = on }
 
 // Exhausted reports whether the pool is in the exhausted regime.
 func (p *Pool) Exhausted() bool { return p.exhausted }
-
-// Reclaims returns the number of allocations served through software
-// reclamation while the pool was exhausted.
-func (p *Pool) Reclaims() uint64 { return p.reclaims }

@@ -127,6 +127,120 @@ func TestRedirectBackAbortRestoresGlobal(t *testing.T) {
 	}
 }
 
+// fig4Line is the original line the Table II tests below redirect.
+const fig4Line sim.Line = 100
+
+// fig4Entry returns a redirect machine in which core 0 runs a
+// transaction and fig4Line's entry is in state from: a transient add
+// (core 0 stored to an unmapped line), a transient delete (core 0
+// stored to a line core 1 redirected and committed), or a global
+// mapping core 0 has not touched. It also returns the committed pool
+// line (0 for the transient add).
+func fig4Entry(t *testing.T, from State) (*Redirect, sim.Line) {
+	t.Helper()
+	r := testRedirect(2, 8)
+	var pool sim.Line
+	if from != TransientAdd {
+		r.BeginFrame(1)
+		pool = r.TxStore(1, fig4Line).Target
+		r.CommitFrame(1)
+	}
+	r.BeginFrame(0)
+	if from == GlobalValid {
+		r.TxStore(0, fig4Line+1)
+	} else {
+		r.TxStore(0, fig4Line)
+	}
+	if got := entryState(r, 0, fig4Line); got != from {
+		t.Fatalf("set-up built %v, want %v", got, from)
+	}
+	return r, pool
+}
+
+// entryState names line's state as core sees it in Table II's terms:
+// core's transient entry if it has one, else GlobalValid for a
+// committed mapping, else Free.
+func entryState(r *Redirect, core int, line sim.Line) State {
+	if st := r.TransientState(core, line); st != Free {
+		return st
+	}
+	if _, ok := r.GlobalTarget(line); ok {
+		return GlobalValid
+	}
+	return Free
+}
+
+// TestTargetForVisibility checks the visibility rules of Table II on
+// Resolve: a global mapping redirects everyone, a transient add only
+// its owner, a transient delete everyone but its owner, and a free line
+// nobody.
+func TestTargetForVisibility(t *testing.T) {
+	r := testRedirect(2, 8)
+	if r.Resolve(0, fig4Line) != fig4Line || r.Resolve(1, fig4Line) != fig4Line {
+		t.Fatal("Free entry must not redirect")
+	}
+
+	r, _ = fig4Entry(t, TransientAdd)
+	add := r.Resolve(0, fig4Line)
+	if add == fig4Line {
+		t.Fatal("TransientAdd must redirect the owner")
+	}
+	if r.Resolve(1, fig4Line) != fig4Line {
+		t.Fatal("TransientAdd must not redirect other cores")
+	}
+
+	r, pool := fig4Entry(t, GlobalValid)
+	if r.Resolve(0, fig4Line) != pool || r.Resolve(1, fig4Line) != pool {
+		t.Fatal("GlobalValid must redirect everyone")
+	}
+
+	r, pool = fig4Entry(t, TransientDelete)
+	if r.Resolve(0, fig4Line) != fig4Line {
+		t.Fatal("TransientDelete owner must see the original")
+	}
+	if r.Resolve(1, fig4Line) != pool {
+		t.Fatal("TransientDelete must keep redirecting other cores")
+	}
+}
+
+// TestFig4eCommitTransitions checks the commit rule of Figure 4(e):
+// valid=1 publishes (global 0->1), valid=0 frees (global 1->0), and a
+// mapping the transaction did not touch stays.
+func TestFig4eCommitTransitions(t *testing.T) {
+	cases := []struct{ from, to State }{
+		{TransientAdd, GlobalValid},
+		{TransientDelete, Free},
+		{GlobalValid, GlobalValid},
+	}
+	for _, c := range cases {
+		r, _ := fig4Entry(t, c.from)
+		r.CommitFrame(0)
+		if got := entryState(r, 0, fig4Line); got != c.to {
+			t.Errorf("commit %v -> %v, want %v", c.from, got, c.to)
+		}
+	}
+}
+
+// TestFig4fAbortTransitions checks the abort rule of Figure 4(f):
+// global=1 restores the valid bit, global=0 frees.
+func TestFig4fAbortTransitions(t *testing.T) {
+	cases := []struct{ from, to State }{
+		{TransientAdd, Free},
+		{TransientDelete, GlobalValid},
+		{GlobalValid, GlobalValid},
+	}
+	for _, c := range cases {
+		r, pool := fig4Entry(t, c.from)
+		r.AbortFrame(0)
+		if got := entryState(r, 0, fig4Line); got != c.to {
+			t.Errorf("abort %v -> %v, want %v", c.from, got, c.to)
+		}
+		if target, ok := r.GlobalTarget(fig4Line); ok && target != pool {
+			t.Errorf("abort %v left mapping %d, want the committed %d", c.from, target, pool)
+		}
+	}
+}
+
 func TestRepeatedStoreSameTxReusesEntry(t *testing.T) {
 	r := testRedirect(1, 8)
 	r.BeginFrame(0)
@@ -445,10 +559,6 @@ func TestGeometryMatchesPaper(t *testing.T) {
 	}
 	if g.EntryBits() != 22 {
 		t.Fatalf("entry bits = %d, want 22", g.EntryBits())
-	}
-	bytes := g.PerCoreStorageBytes(2048, 2048, 512)
-	if bytes != 1920 { // 1.875 KiB, Section V-C
-		t.Fatalf("per-core storage = %v bytes, want 1920", bytes)
 	}
 }
 

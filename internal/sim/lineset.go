@@ -206,7 +206,3 @@ func (s *LineSet) grow() {
 		}
 	}
 }
-
-// TableCap returns the hash tier's slot count (tests, sizing
-// diagnostics).
-func (s *LineSet) TableCap() int { return len(s.keys) }

@@ -174,7 +174,7 @@ func TestChaosScenarioDeterministic(t *testing.T) {
 // TestShedLadderUnit drives the ladder through both rungs and back as a
 // pure state machine, including the terminal drain.
 func TestShedLadderUnit(t *testing.T) {
-	l := newShedLadder(Config{EscalateAfter: 2, HighWater: 0.75, LowWater: 0.25}.withDefaults())
+	l := newShedLadder(Config{EscalateAfter: 2}.withDefaults())
 	if l.State() != Normal {
 		t.Fatal("ladder not born normal")
 	}

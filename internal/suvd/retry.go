@@ -91,10 +91,7 @@ func (s *Server) runOnce(jb *job, attempt int) (results []RunSummary, err error)
 	for i := range specs {
 		cached[i] = experiments.Cached(specs[i])
 	}
-	outs, err := s.runner(ctx, specs, experiments.BatchOptions{
-		OnProgress:    jb.publish,
-		ProgressEvery: s.cfg.ProgressEvery,
-	})
+	outs, err := s.runner(ctx, specs, experiments.BatchOptions{OnProgress: jb.publish})
 	if err != nil {
 		if ctx.Err() == context.DeadlineExceeded {
 			return nil, &DeadlineError{JobID: jb.id, Timeout: s.cfg.JobTimeout}

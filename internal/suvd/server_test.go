@@ -313,8 +313,7 @@ func TestJobDeadline(t *testing.T) {
 func TestShedLadderUnderPressure(t *testing.T) {
 	br := newBlockingRunner()
 	s := newTestServer(t, Config{
-		Workers: 1, QueueCapacity: 2, PerClientCap: 64,
-		EscalateAfter: 2, HighWater: 0.75, LowWater: 0.25,
+		Workers: 1, QueueCapacity: 2, PerClientCap: 64, EscalateAfter: 2,
 		Runner: br.run,
 	})
 	h := s.Handler()

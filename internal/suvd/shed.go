@@ -50,11 +50,17 @@ type Transition struct {
 	Reason string `json:"reason"`
 }
 
+// Queue-occupancy ratios that build and relieve shedding pressure.
+const (
+	highWater = 0.75
+	lowWater  = 0.25
+)
+
 // shedLadder decides the daemon's degradation state from queue
 // occupancy. It is count-based, not wall-clock-based: pressure is a
 // saturating counter fed by admission-time occupancy observations —
-// EscalateAfter consecutive sightings at or above HighWater step the
-// ladder up, EscalateAfter consecutive sightings at or below LowWater
+// EscalateAfter consecutive sightings at or above highWater step the
+// ladder up, EscalateAfter consecutive sightings at or below lowWater
 // step it down — so tests (and replayed chaos scenarios) drive it
 // deterministically with a known request sequence.
 type shedLadder struct {
@@ -62,16 +68,11 @@ type shedLadder struct {
 	state         State
 	pressure      int // >0 building toward escalation, <0 toward relief
 	escalateAfter int
-	high, low     float64
 	transitions   []Transition
 }
 
 func newShedLadder(cfg Config) *shedLadder {
-	return &shedLadder{
-		escalateAfter: cfg.EscalateAfter,
-		high:          cfg.HighWater,
-		low:           cfg.LowWater,
-	}
+	return &shedLadder{escalateAfter: cfg.EscalateAfter}
 }
 
 // observe feeds one admission-time occupancy reading (queued/capacity,
@@ -84,12 +85,12 @@ func (l *shedLadder) observe(occupancy float64) State {
 		return Draining
 	}
 	switch {
-	case occupancy >= l.high:
+	case occupancy >= highWater:
 		if l.pressure < 0 {
 			l.pressure = 0
 		}
 		l.pressure++
-	case occupancy <= l.low:
+	case occupancy <= lowWater:
 		if l.pressure > 0 {
 			l.pressure = 0
 		}
@@ -98,10 +99,10 @@ func (l *shedLadder) observe(occupancy float64) State {
 		l.pressure = 0
 	}
 	if l.pressure >= l.escalateAfter && l.state < CacheOnly {
-		l.stepLocked(l.state+1, fmt.Sprintf("occupancy >= %.2f for %d admissions", l.high, l.pressure))
+		l.stepLocked(l.state+1, fmt.Sprintf("occupancy >= %.2f for %d admissions", highWater, l.pressure))
 		l.pressure = 0
 	} else if l.pressure <= -l.escalateAfter && l.state > Normal {
-		l.stepLocked(l.state-1, fmt.Sprintf("occupancy <= %.2f for %d admissions", l.low, -l.pressure))
+		l.stepLocked(l.state-1, fmt.Sprintf("occupancy <= %.2f for %d admissions", lowWater, -l.pressure))
 		l.pressure = 0
 	}
 	return l.state

@@ -74,20 +74,13 @@ type Config struct {
 	DrainTimeout time.Duration
 
 	// EscalateAfter is how many consecutive pressure observations move
-	// the shedding ladder one step (0 = 3); HighWater/LowWater are the
-	// queue-occupancy ratios that build and relieve pressure
-	// (0 = 0.75 / 0.25).
+	// the shedding ladder one step (0 = 3): queue occupancy at or above
+	// 0.75 builds pressure, at or below 0.25 relieves it.
 	EscalateAfter int
-	HighWater     float64
-	LowWater      float64
 
 	// Journal is the WAL path ("" = ephemeral: no crash safety, used by
 	// tests and throwaway instances).
 	Journal string
-
-	// ProgressEvery is the completed-run granularity of streamed
-	// FleetProgress rollups (0 = 1).
-	ProgressEvery int
 
 	// Runner executes one job's specs (nil = the fleet engine,
 	// experiments.RunManyWith). Tests and the chaos harness substitute
@@ -130,15 +123,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EscalateAfter <= 0 {
 		c.EscalateAfter = 3
-	}
-	if c.HighWater <= 0 {
-		c.HighWater = 0.75
-	}
-	if c.LowWater <= 0 {
-		c.LowWater = 0.25
-	}
-	if c.ProgressEvery <= 0 {
-		c.ProgressEvery = 1
 	}
 	if c.Sleep == nil {
 		c.Sleep = time.Sleep

@@ -128,7 +128,6 @@ type Recorder struct {
 	next   int
 	filled bool
 	total  uint64
-	mask   uint32 // bit per Kind; 0 = everything
 	sink   Sink
 }
 
@@ -140,18 +139,8 @@ func NewRecorder(capacity int) *Recorder {
 	return &Recorder{events: make([]Event, capacity)}
 }
 
-// Only restricts recording to the given kinds (call before the run).
-func (r *Recorder) Only(kinds ...Kind) *Recorder {
-	r.mask = 0
-	for _, k := range kinds {
-		r.mask |= 1 << uint(k)
-	}
-	return r
-}
-
-// Stream attaches a sink receiving every event as it is recorded. The
-// sink sees the unfiltered stream: the Only mask governs only what the
-// ring buffer retains (and what Total counts).
+// Stream attaches a sink receiving every event as it is recorded,
+// including those the ring buffer later overwrites.
 func (r *Recorder) Stream(s Sink) *Recorder {
 	r.sink = s
 	return r
@@ -164,9 +153,6 @@ func (r *Recorder) Record(e Event) {
 	}
 	if r.sink != nil {
 		r.sink.Emit(e)
-	}
-	if r.mask != 0 && r.mask&(1<<uint(e.Kind)) == 0 {
-		return
 	}
 	r.total++
 	r.events[r.next] = e

@@ -42,43 +42,6 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	r := NewRecorder(16).Only(Abort, NACK)
-	r.Record(Event{Kind: Begin})
-	r.Record(Event{Kind: Abort})
-	r.Record(Event{Kind: NACK})
-	r.Record(Event{Kind: Commit})
-	if r.Total() != 2 {
-		t.Fatalf("filtered total = %d, want 2", r.Total())
-	}
-}
-
-func TestOnlyMaskGovernsRetentionAndTotal(t *testing.T) {
-	// The mask must keep filtered-out events from both the ring buffer
-	// and the Total count, even across wrap-around.
-	r := NewRecorder(2).Only(Abort)
-	for i := 0; i < 5; i++ {
-		r.Record(Event{Cycle: uint64(10 + i), Kind: Abort})
-		r.Record(Event{Cycle: uint64(100 + i), Kind: Begin})
-		r.Record(Event{Cycle: uint64(200 + i), Kind: NACK})
-	}
-	if r.Total() != 5 {
-		t.Fatalf("total = %d, want 5 (only the aborts)", r.Total())
-	}
-	evs := r.Events()
-	if len(evs) != 2 {
-		t.Fatalf("retained = %d, want 2", len(evs))
-	}
-	for _, e := range evs {
-		if e.Kind != Abort {
-			t.Fatalf("retained filtered-out event %v", e)
-		}
-	}
-	if evs[0].Cycle != 13 || evs[1].Cycle != 14 {
-		t.Fatalf("retained wrong tail: %v", evs)
-	}
-}
-
 func TestEventsPreSizesPartialCopy(t *testing.T) {
 	r := NewRecorder(1024)
 	r.Record(Event{Cycle: 1, Kind: Begin})
@@ -99,17 +62,19 @@ type collectSink struct{ got []Event }
 
 func (s *collectSink) Emit(e Event) { s.got = append(s.got, e) }
 
+// TestStreamSinkSeesUnfilteredStream: the sink receives every event,
+// including those the ring buffer has already overwritten.
 func TestStreamSinkSeesUnfilteredStream(t *testing.T) {
 	sink := &collectSink{}
-	r := NewRecorder(4).Only(Abort).Stream(sink)
+	r := NewRecorder(2).Stream(sink)
 	r.Record(Event{Cycle: 1, Kind: Begin})
 	r.Record(Event{Cycle: 2, Kind: Abort})
 	r.Record(Event{Cycle: 3, Kind: Commit})
 	if len(sink.got) != 3 {
-		t.Fatalf("sink saw %d events, want all 3 (mask must not filter the stream)", len(sink.got))
+		t.Fatalf("sink saw %d events, want all 3", len(sink.got))
 	}
-	if r.Total() != 1 {
-		t.Fatalf("total = %d, want 1 (mask still governs the ring)", r.Total())
+	if r.Total() != 3 || len(r.Events()) != 2 {
+		t.Fatalf("total = %d, retained = %d, want 3 and 2", r.Total(), len(r.Events()))
 	}
 	if sink.got[0].Kind != Begin || sink.got[2].Kind != Commit {
 		t.Fatalf("sink order wrong: %v", sink.got)

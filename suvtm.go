@@ -78,8 +78,8 @@ func RunMany(specs []Spec) ([]*Outcome, error) { return experiments.RunMany(spec
 // on disk and spot-checked against live re-runs), and dispatch is
 // longest-expected-first so stragglers start early.
 type (
-	// BatchOptions tune one batch (worker count, cache/arena/scheduling
-	// opt-outs, keep-going error handling, progress streaming).
+	// BatchOptions tune one batch (worker count, cache opt-out,
+	// keep-going error handling, cancellation, progress streaming).
 	BatchOptions = experiments.BatchOptions
 	// FleetStats are the process-wide cache/arena/scheduler counters.
 	FleetStats = experiments.FleetStats
