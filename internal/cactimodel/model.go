@@ -17,6 +17,9 @@ package cactimodel
 import (
 	"fmt"
 	"math"
+
+	"suvtm/internal/htm"
+	"suvtm/internal/redirect"
 )
 
 // NodeParams holds the per-technology calibration point: the CACTI 5.3
@@ -148,4 +151,16 @@ func SectionVC(cores int, clockGHz float64, summaryBits, onceBits, l1Entries, en
 		TotalTableAreaM2: area,
 		PctOfRockArea:    area / RockAreaMm2,
 	}, nil
+}
+
+// PaperSectionVC is SectionVC for the SUV hardware of the paper's
+// Table III machine, which owns every input: the summary signature and
+// its set-once deletion vector are SigBits wide, the first-level table
+// holds Redirect.L1Entries entries, and each entry is as wide as
+// redirect.Geometry lays it out for the L1 and the TLB (22 bits).
+func PaperSectionVC(cores int, clockGHz float64) (SUVCost, error) {
+	cfg := htm.DefaultConfig(cores)
+	sigBits := int(cfg.SigBits)
+	entryBits := redirect.NewGeometry(cfg.L1, cfg.TLBEntries).EntryBits()
+	return SectionVC(cores, clockGHz, sigBits, sigBits, cfg.Redirect.L1Entries, entryBits)
 }

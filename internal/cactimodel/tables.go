@@ -69,7 +69,7 @@ func RenderTable7() string {
 // RenderSectionVC prints the Section V-C complexity summary for the
 // paper's 16-core configuration.
 func RenderSectionVC() string {
-	cost, err := SectionVC(16, 1.2, 2048, 2048, 512, 22)
+	cost, err := PaperSectionVC(16, 1.2)
 	if err != nil {
 		return err.Error()
 	}

@@ -99,8 +99,16 @@ func TestGoldenOutcomes(t *testing.T) {
 		b.WriteString(line)
 		b.WriteByte('\n')
 	}
-	got := b.String()
-	want, err := os.ReadFile(goldenOutcomesPath)
+	checkGoldenFile(t, goldenOutcomesPath, "simulated outcomes", "a deliberate model change", b.String())
+}
+
+// checkGoldenFile compares got with the file at path. On a mismatch it
+// reports the first differing line and prints the regenerated file,
+// which replaces the old one when the change is the kind named by
+// deliberate.
+func checkGoldenFile(t *testing.T, path, what, deliberate, got string) {
+	t.Helper()
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,6 +122,5 @@ func TestGoldenOutcomes(t *testing.T) {
 			break
 		}
 	}
-	t.Fatalf("simulated outcomes differ from %s; if the change is a deliberate model change, replace the file with:\n%s",
-		goldenOutcomesPath, got)
+	t.Fatalf("%s differ from %s; if the change is %s, replace the file with:\n%s", what, path, deliberate, got)
 }

@@ -7,42 +7,71 @@ import (
 	"strings"
 	"testing"
 
+	"suvtm/internal/htm"
+	"suvtm/internal/sim"
 	"suvtm/internal/stats"
 	"suvtm/internal/workload"
 )
 
 // headlinesPath holds the paper's headline numbers as this simulator
 // measures them at the paper's configuration (16 cores, seed 1, scale
-// 1): the four Figure 6 and two Figure 9 speedups, and Table V's SUV-TM
+// 1): Figure 1's isolation-window ratios on the coarse apps, the four
+// Figure 6 and two Figure 9 speedups, the Figure 7 and Figure 8(b)
+// normalized times at the default redirect tables, and Table V's SUV-TM
 // pool pages. EXPERIMENTS.md quotes the file verbatim.
 var headlinesPath = filepath.Join("testdata", "golden", "headlines.md")
 
 // experimentsDoc is the document that quotes headlinesPath.
 var experimentsDoc = filepath.Join("..", "..", "EXPERIMENTS.md")
 
-// renderHeadlines runs the 40 Figure 6 + Figure 9 specs uncached and
-// renders the headline table as a Markdown table.
+// renderHeadlines runs the 40 Figure 6 + Figure 9 specs and SUV-TM at
+// the three sweep base points (64 and 1024 first-level entries, a
+// zero-latency second level) uncached, and renders the headline table
+// as a Markdown table. The grid's own SUV-TM runs are the sweeps'
+// default points: 512 entries and a 10-cycle second level.
 func renderHeadlines() (string, error) {
+	apps := workload.StampApps
 	var specs []Spec
-	for _, app := range workload.StampApps {
+	for _, app := range apps {
 		for _, s := range AllSchemes {
 			specs = append(specs, Spec{App: app, Scheme: s, Cores: 16, Seed: 1, Scale: 1})
+		}
+	}
+	grid := len(specs)
+	for _, tweak := range []func(*htm.Config){
+		func(cfg *htm.Config) { cfg.Redirect.L1Entries = 64 },
+		func(cfg *htm.Config) { cfg.Redirect.L1Entries = 1024 },
+		func(cfg *htm.Config) { cfg.Redirect.L2Latency = 0 },
+	} {
+		for _, app := range apps {
+			specs = append(specs, Spec{App: app, Scheme: SUVTM, Cores: 16, Seed: 1, Scale: 1, Tweak: tweak})
 		}
 	}
 	outs, err := RunManyWith(specs, BatchOptions{NoCache: true})
 	if err != nil {
 		return "", err
 	}
-	m := &Matrix{Apps: workload.StampApps, Schemes: AllSchemes, Outcomes: make(map[string]map[Scheme]*Outcome)}
-	for _, out := range outs {
+	m := &Matrix{Apps: apps, Schemes: AllSchemes, Outcomes: make(map[string]map[Scheme]*Outcome)}
+	var suvTotal sim.Cycles
+	var base [3]sim.Cycles // total SUV-TM cycles at 64 entries, 1024 entries, 0-cycle second level
+	for i, out := range outs {
 		if out.CheckErr != nil {
 			return "", fmt.Errorf("%s under %s: %w", out.Spec.App, out.Spec.Scheme, out.CheckErr)
+		}
+		if i >= grid {
+			base[(i-grid)/len(apps)] += out.Cycles
+			continue
 		}
 		if m.Outcomes[out.Spec.App] == nil {
 			m.Outcomes[out.Spec.App] = make(map[Scheme]*Outcome)
 		}
 		m.Outcomes[out.Spec.App][out.Spec.Scheme] = out
+		if out.Spec.Scheme == SUVTM {
+			suvTotal += out.Cycles
+		}
 	}
+	norm := func(num, den sim.Cycles) string { return stats.F3(float64(num) / float64(den)) }
+	def := htm.DefaultConfig(16).Redirect
 
 	var b strings.Builder
 	row := func(figure, quantity, scope, measured, paper string) {
@@ -50,20 +79,22 @@ func renderHeadlines() (string, error) {
 	}
 	row("figure", "quantity", "scope", "measured", "paper")
 	b.WriteString("|---|---|---|---|---|\n")
-	speedups := []struct {
-		figure     string
-		base, mine Scheme
-		all, high  float64
-	}{
-		{"Fig. 6", LogTMSE, SUVTM, PaperFig6.OverLogTMAll, PaperFig6.OverLogTMHigh},
-		{"Fig. 6", FasTM, SUVTM, PaperFig6.OverFasTMAll, PaperFig6.OverFasTMHigh},
-		{"Fig. 9", DynTM, DynTMSUV, PaperFig9.All, PaperFig9.High},
+	fig1 := &Fig1{Matrix: m}
+	for _, app := range []string{"bayes", "genome", "labyrinth", "yada"} {
+		ratio := fig1.MeanWindow(app, LogTMSE) / fig1.MeanWindow(app, SUVTM)
+		row("Fig. 1", "LogTM-SE / SUV-TM isolation window", app, fmt.Sprintf("%.2f×", ratio), "–")
 	}
-	for _, s := range speedups {
-		quantity := fmt.Sprintf("%s vs %s", s.mine, s.base)
-		row(s.figure, quantity, "all apps", stats.Pct(m.MeanSpeedup(s.base, s.mine, false)), stats.Pct(s.all))
-		row(s.figure, quantity, "high-contention 5", stats.Pct(m.MeanSpeedup(s.base, s.mine, true)), stats.Pct(s.high))
+	speedup := func(figure string, base, mine Scheme, all, high float64) {
+		quantity := fmt.Sprintf("%s vs %s", mine, base)
+		row(figure, quantity, "all apps", stats.Pct(m.MeanSpeedup(base, mine, false)), stats.Pct(all))
+		row(figure, quantity, "high-contention 5", stats.Pct(m.MeanSpeedup(base, mine, true)), stats.Pct(high))
 	}
+	speedup("Fig. 6", LogTMSE, SUVTM, PaperFig6.OverLogTMAll, PaperFig6.OverLogTMHigh)
+	speedup("Fig. 6", FasTM, SUVTM, PaperFig6.OverFasTMAll, PaperFig6.OverFasTMHigh)
+	row("Fig. 7", fmt.Sprintf("SUV-TM time, %d vs 64 L1-table entries", def.L1Entries), "all apps", norm(suvTotal, base[0]), "–")
+	row("Fig. 7", "SUV-TM time, 1024 vs 64 L1-table entries", "all apps", norm(base[1], base[0]), "–")
+	row("Fig. 8(b)", fmt.Sprintf("SUV-TM time, %d vs 0 L2-table cycles", def.L2Latency), "all apps", norm(suvTotal, base[2]), "<1.05")
+	speedup("Fig. 9", DynTM, DynTMSUV, PaperFig9.All, PaperFig9.High)
 	for _, app := range Table5Apps {
 		row("Table V", "SUV-TM pool pages", app, fmt.Sprint(m.Get(app, SUVTM).PoolPages), "–")
 	}
@@ -79,7 +110,7 @@ func renderHeadlines() (string, error) {
 // EXPERIMENTS.md with it and says why in CHANGES.md.
 func TestPaperHeadlines(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the 40-spec Figure 6 + Figure 9 grid at scale 1")
+		t.Skip("runs the 40-spec Figure 6 + Figure 9 grid and 24 sweep points at scale 1")
 	}
 	got, err := renderHeadlines()
 	if err != nil {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"suvtm/internal/stats"
@@ -150,15 +149,4 @@ func (m *Matrix) RenderBreakdown(title string) string {
 	}
 	sb.WriteString(tab.String())
 	return sb.String()
-}
-
-// sortedKeys returns map keys in sorted order (deterministic rendering).
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	//suv:orderinsensitive keys are collected then sorted before any use
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

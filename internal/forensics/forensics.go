@@ -6,11 +6,11 @@
 // positive.
 //
 // The layer is strictly observational: enabling it never changes a
-// simulated cycle, and a disabled collector (a nil *Collector) costs the
-// machine a single nil check per conflict event. All aggregation is
-// deterministic — two runs of the same (config, seed) produce
-// bit-identical reports — so forensic output is replay-stable and can be
-// diffed across schemes.
+// simulated cycle, and the machine's observation seam feeds it, so a
+// run without a collector pays one nil check per conflict event. All
+// aggregation is deterministic — two runs of the same (config, seed)
+// produce bit-identical reports — so forensic output is replay-stable
+// and can be diffed across schemes.
 package forensics
 
 import (
@@ -86,16 +86,12 @@ const (
 	// granted the global serialization token (forward-progress
 	// escalation, not a data conflict).
 	CauseToken
-	// CauseOverflow is a self-inflicted kill: the scheme doomed its own
-	// transaction because speculative state overflowed the hardware
-	// holding it.
-	CauseOverflow
 	numCauses
 )
 
 var causeNames = [numCauses]string{
 	"none", "eager-nack", "lazy-validation", "injected", "cycle",
-	"commit-kill", "nontx-store", "older-wins", "token", "overflow",
+	"commit-kill", "nontx-store", "older-wins", "token",
 }
 
 // String names the cause (the folded-stack frame spelling).
@@ -105,9 +101,6 @@ func (c Cause) String() string {
 	}
 	return "Cause(?)"
 }
-
-// NumCauses is the number of declared causes (report table sizing).
-const NumCauses = int(numCauses)
 
 // NACKEvent is one refused memory request: the requester stalled (or,
 // for CauseCycle escalations, will abort) against the holder.
@@ -149,7 +142,7 @@ type AbortEvent struct {
 	VictimSite uint32
 	KillerSite uint32
 	// SigHit/Precise carry the doom decision's classification (false for
-	// causes that involve no signature: token, overflow).
+	// causes that involve no signature, such as token kills).
 	SigHit  bool
 	Precise bool
 	// Wasted is the attempt's transactional work thrown away (the cycles
@@ -201,9 +194,7 @@ type foldKey struct {
 
 // Collector gathers one run's conflict provenance. It is single-
 // goroutine, like the machine that feeds it; concurrent fleet runs each
-// own a private collector. A nil *Collector is a valid disabled
-// collector: both hooks are nil-check no-ops, so the machine's conflict
-// paths stay allocation-free when forensics is off.
+// own a private collector.
 type Collector struct {
 	cores int
 
@@ -251,36 +242,8 @@ func NewCollector(cores int) *Collector {
 	}
 }
 
-// Enabled reports whether the collector is live (nil receivers are the
-// disabled state).
-//
-//suv:hotpath
-func (f *Collector) Enabled() bool { return f != nil }
-
-// NACK records one refused request. On a nil collector it is a no-op;
-// the machine calls it unconditionally from its conflict paths.
-//
-//suv:hotpath
+// NACK records one refused request.
 func (f *Collector) NACK(ev NACKEvent) {
-	if f == nil {
-		return
-	}
-	f.recordNACK(ev)
-}
-
-// Abort records one aborted attempt. On a nil collector it is a no-op.
-//
-//suv:hotpath
-func (f *Collector) Abort(ev AbortEvent) {
-	if f == nil {
-		return
-	}
-	f.recordAbort(ev)
-}
-
-// recordNACK is the live path of NACK (unannotated: the enabled
-// collector may grow its aggregates).
-func (f *Collector) recordNACK(ev NACKEvent) {
 	f.nacks++
 	if ev.Cause == CauseInjected {
 		f.injected++
@@ -313,8 +276,8 @@ func (f *Collector) recordNACK(ev NACKEvent) {
 	f.folds[foldKey{site: ev.ReqSite, line: ev.Line, cause: ev.Cause}] += ev.Stall
 }
 
-// recordAbort is the live path of Abort.
-func (f *Collector) recordAbort(ev AbortEvent) {
+// Abort records one aborted attempt.
+func (f *Collector) Abort(ev AbortEvent) {
 	f.aborts++
 	f.wastedCycles += ev.Wasted
 	f.classify(ev.SigHit, ev.Precise, 0)

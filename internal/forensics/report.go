@@ -133,9 +133,6 @@ func siteID(site uint32) int64 {
 // Report. topK bounds the hot-site and hot-line tables (<=0 means
 // TopK); edges and folds are always complete.
 func (f *Collector) Report(topK int) *Report {
-	if f == nil {
-		return &Report{}
-	}
 	if topK <= 0 {
 		topK = TopK
 	}

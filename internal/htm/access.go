@@ -6,7 +6,6 @@ import (
 	"suvtm/internal/signature"
 	"suvtm/internal/sim"
 	"suvtm/internal/stats"
-	"suvtm/internal/trace"
 )
 
 var debugAlwaysCheck = false
@@ -301,7 +300,6 @@ func (m *Machine) conflictHolder(requester *Core, line sim.Line, write bool) *Co
 // requester whose own flag is raised aborts itself when NACKed by an
 // older transaction.
 func (m *Machine) handleNACK(c, holder *Core, line sim.Line, lat sim.Cycles, write bool) {
-	m.tracer.Record(trace.Event{Cycle: m.now, Core: c.ID, Kind: trace.NACK, Line: line, Other: holder.ID})
 	c.Counters.NACKsReceived++
 	holder.Counters.NACKsSent++
 	// The signature reported this conflict; the holder's precise sets say
@@ -334,7 +332,7 @@ func (m *Machine) handleNACK(c, holder *Core, line sim.Line, lat sim.Cycles, wri
 			// which only ever stalls (the cores it waits on are doomed or
 			// parked, so the stall drains; aborting it would forfeit the
 			// very guarantee the token exists to provide).
-			m.fxNACK(c, holder, line, write, lat, forensics.CauseCycle, precise)
+			m.obs.nack(c, holder, line, write, lat, forensics.CauseCycle, precise)
 			c.doom = doomInfo{
 				killer: holder.ID, killerSite: holder.txSite(), line: line,
 				cause: forensics.CauseCycle, sigHit: false, precise: precise,
@@ -345,7 +343,7 @@ func (m *Machine) handleNACK(c, holder *Core, line sim.Line, lat sim.Cycles, wri
 			return
 		}
 	}
-	m.fxNACK(c, holder, line, write, lat+m.cfg.RetryInterval, forensics.CauseEagerNACK, precise)
+	m.obs.nack(c, holder, line, write, lat+m.cfg.RetryInterval, forensics.CauseEagerNACK, precise)
 	if c.InTx() {
 		// A stall is another lost round: it may push this transaction
 		// over a starvation threshold.

@@ -109,7 +109,6 @@ type Core struct {
 	attemptStart   sim.Cycles // cycle of this attempt's outermost begin (metrics)
 	overflowedL1   bool       // a written line was evicted this attempt (Table V)
 	abortPending   bool       // a committing lazy transaction killed us
-	abortedBy      int        // core whose commit doomed us (abortPending), or -1
 	doom           doomInfo   // provenance of the pending (or imminent) abort
 	// windowStart is the cycle of this attempt's first write acquisition
 	// (0 = none yet); the isolation window closes when commit completes
@@ -163,7 +162,6 @@ func (c *Core) TxActive() bool { return len(c.Frames) > 0 && !c.suspended }
 // the full provenance for the forensics layer.
 func (c *Core) doomBy(killer int, killerSite uint32, line sim.Line, cause forensics.Cause, sigHit, precise bool) {
 	c.abortPending = true
-	c.abortedBy = killer
 	c.doom = doomInfo{
 		killer: killer, killerSite: killerSite, line: line,
 		cause: cause, sigHit: sigHit, precise: precise,
@@ -216,15 +214,11 @@ func (c *Core) clearTxState() {
 	c.attemptCyc = 0
 	c.overflowedL1 = false
 	c.abortPending = false
-	c.abortedBy = -1
 	c.doom.clear()
 	c.possibleCyc = false
 	c.suspended = false
 	c.windowStart = 0
 }
-
-// Suspended reports whether the core's transaction is descheduled.
-func (c *Core) Suspended() bool { return c.suspended }
 
 // op returns the current instruction.
 func (c *Core) op() workload.Op { return c.Prog.Ops[c.PC] }

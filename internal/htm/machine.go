@@ -8,7 +8,6 @@ import (
 	"suvtm/internal/forensics"
 	"suvtm/internal/interconnect"
 	"suvtm/internal/mem"
-	"suvtm/internal/metrics"
 	"suvtm/internal/redirect"
 	"suvtm/internal/signature"
 	"suvtm/internal/sim"
@@ -35,10 +34,8 @@ type Machine struct {
 	Redirect *redirect.Redirect
 	Summary  *signature.Summary
 
-	tracer  *trace.Recorder
-	metrics *metrics.Collector
-	obs     *observer
-	fx      *forensics.Collector
+	// obs feeds the attached observers (observe.go); nil when none is.
+	obs *observers
 
 	heap            sim.ReadyHeap
 	now             sim.Cycles
@@ -155,8 +152,7 @@ func NewWith(cfg Config, vm VersionManager, programs []workload.Program, memory 
 			l1 = mem.NewCache(cfg.L1)
 		}
 		c := &Core{
-			ID:        i,
-			abortedBy: -1,
+			ID: i,
 			doom: doomInfo{
 				killer: forensics.NoCore, killerSite: forensics.NoSite,
 				line: forensics.NoLine,
@@ -185,10 +181,6 @@ func NewWith(cfg Config, vm VersionManager, programs []workload.Program, memory 
 // Config returns the machine configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
-// SetTracer attaches an event recorder (nil detaches). Attach before
-// Run; tracing begins immediately.
-func (m *Machine) SetTracer(r *trace.Recorder) { m.tracer = r }
-
 // ArchMem returns the architectural view of memory: reads resolve
 // through the committed redirect map, so callers see the value a program
 // load would return at each address. Use it for post-run invariant
@@ -214,9 +206,6 @@ func (v *ArchView) Read(addr sim.Addr) sim.Word {
 	}
 	return v.m.Memory.Read(sim.AddrOf(v.lastTgt) | (addr & (sim.LineBytes - 1)))
 }
-
-// Now returns the current simulated cycle.
-func (m *Machine) Now() sim.Cycles { return m.now }
 
 // Run executes all programs to completion and returns the aggregated
 // result. It fails if the watchdog fires or the cores deadlock on a
@@ -250,7 +239,7 @@ func (m *Machine) Run() (*Result, error) {
 		if err := m.maybeCheckInvariants(at); err != nil {
 			return nil, m.failRun(err)
 		}
-		m.metrics.Tick(at)
+		m.obs.tick(at)
 		m.pk.stepID = id
 		m.step(m.Cores[id])
 		if len(m.pk.parked) > 0 {
@@ -276,9 +265,7 @@ func (m *Machine) Run() (*Result, error) {
 		res.Counters.Add(&c.Counters)
 	}
 	res.Cycles = end
-	if m.obs != nil {
-		m.obs.finish(m, end)
-	}
+	m.obs.finish(end)
 	return res, nil
 }
 
@@ -288,9 +275,7 @@ func (m *Machine) Run() (*Result, error) {
 // Chrome trace via the streaming sink) survive the failure instead of
 // being lost with the *Result that never materialized.
 func (m *Machine) failRun(err error) error {
-	if m.obs != nil {
-		m.obs.finish(m, m.now)
-	}
+	m.obs.finish(m.now)
 	return err
 }
 
@@ -311,20 +296,14 @@ func (m *Machine) step(c *Core) {
 		c.status = statusRunning
 		if c.abortPending && c.InTx() {
 			// A committer doomed us while we waited for the token.
-			c.Counters.RemoteAborts++
-			m.tracer.Record(trace.Event{Cycle: m.now, Core: c.ID, Kind: trace.RemoteKill,
-				Line: c.doom.line, Other: c.abortedBy})
-			m.startAbort(c, 0)
+			m.remoteKill(c)
 			return
 		}
 		m.doCommit(c)
 		return
 	}
 	if c.abortPending && c.InTx() && !c.suspended {
-		c.Counters.RemoteAborts++
-		m.tracer.Record(trace.Event{Cycle: m.now, Core: c.ID, Kind: trace.RemoteKill,
-			Line: c.doom.line, Other: c.abortedBy})
-		m.startAbort(c, 0)
+		m.remoteKill(c)
 		return
 	}
 	op := c.op()
@@ -361,19 +340,27 @@ func (m *Machine) step(c *Core) {
 			panic(fmt.Sprintf("htm: core %d: suspend outside an active transaction", c.ID))
 		}
 		c.suspended = true
-		m.tracer.Record(trace.Event{Cycle: m.now, Core: c.ID, Kind: trace.Suspend, Other: -1})
+		m.obs.event(trace.Suspend, c.ID, 0, -1, 0)
 		m.finishOp(c, sim.Cycles(op.N))
 	case workload.OpResume:
 		if !c.suspended {
 			panic(fmt.Sprintf("htm: core %d: resume without suspend", c.ID))
 		}
 		c.suspended = false
-		m.tracer.Record(trace.Event{Cycle: m.now, Core: c.ID, Kind: trace.Resume, Other: -1})
+		m.obs.event(trace.Resume, c.ID, 0, -1, 0)
 		// The context-switch cost belongs to the resuming transaction.
 		m.finishOp(c, sim.Cycles(op.N))
 	default:
 		panic(fmt.Sprintf("htm: core %d: unknown op %v", c.ID, op))
 	}
+}
+
+// remoteKill starts the abort of c's transaction, which another core
+// doomed.
+func (m *Machine) remoteKill(c *Core) {
+	c.Counters.RemoteAborts++
+	m.obs.event(trace.RemoteKill, c.ID, c.doom.line, c.doom.killer, 0)
+	m.startAbort(c, 0)
 }
 
 // finishOp charges lat for the current op (minimum one cycle: the cores

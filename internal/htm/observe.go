@@ -5,24 +5,38 @@ import (
 	"sort"
 
 	"suvtm/internal/faults"
-
+	"suvtm/internal/forensics"
 	"suvtm/internal/metrics"
+	"suvtm/internal/sim"
 	"suvtm/internal/stats"
+	"suvtm/internal/trace"
 )
 
-// observer is the machine's hook into the metrics layer: histograms fed
-// at transaction boundaries plus the end-of-run breakout tables. It only
-// exists when metrics collection is enabled, so the engine's hot paths
-// pay a single nil check when it is not.
-type observer struct {
+// This file is the machine's one observation seam. Every event site
+// makes one call on Machine.obs, which stays nil until a consumer
+// attaches: the event recorder (SetTracer), the metrics collector with
+// its sampler and transaction histograms (EnableMetrics), or the
+// conflict-forensics collector (EnableForensics). The entry points on
+// hot paths inline to a nil test, so an unobserved run pays one nil
+// check per event. The seam builds each consumer's input from machine
+// state at the call; consumers only read that state, so a run is
+// bit-identical with any set of them attached.
+
+// observers is the set of attached consumers; any of them may be nil.
+type observers struct {
+	m   *Machine
+	rec *trace.Recorder
+	fx  *forensics.Collector
+
+	// col is the metrics collector; the histograms below are registered
+	// with it and exist only when it does.
+	col        *metrics.Collector
 	txDuration *metrics.Histogram // begin -> commit, per committed attempt
 	txRetries  *metrics.Histogram // aborts consumed before each commit
 	txReadSet  *metrics.Histogram // distinct lines read, at commit
 	txWriteSet *metrics.Histogram // distinct lines written, at commit
 	txWasted   *metrics.Histogram // begin -> abort, per aborted attempt
-
-	col   *metrics.Collector
-	sites map[uint32]*siteHists
+	sites      map[uint32]*siteHists
 }
 
 // siteHists are the per-transaction-site histograms (one group per
@@ -32,25 +46,48 @@ type siteHists struct {
 	writeSet *metrics.Histogram
 }
 
+// observe returns the machine's observer set, creating it on first
+// attach.
+func (m *Machine) observe() *observers {
+	if m.obs == nil {
+		m.obs = &observers{m: m}
+	}
+	return m.obs
+}
+
+// SetTracer attaches an event recorder (nil attaches nothing). Attach
+// before Run; tracing begins immediately.
+func (m *Machine) SetTracer(r *trace.Recorder) {
+	if r != nil {
+		m.observe().rec = r
+	}
+}
+
+// EnableForensics attaches a conflict-provenance collector (nil
+// attaches nothing). Attach before Run.
+func (m *Machine) EnableForensics(fx *forensics.Collector) {
+	if fx != nil {
+		m.observe().fx = fx
+	}
+}
+
 // EnableMetrics attaches a collector and registers every probe the
 // simulator exports: transaction and conflict rates from the HTM layer,
 // cache activity from the memory system, occupancy gauges from the
 // redirect machinery, link traffic from the mesh, and the directory's
-// message mix. Call before Run; a nil collector leaves metrics disabled.
+// message mix. Call before Run; a nil collector attaches nothing.
 func (m *Machine) EnableMetrics(col *metrics.Collector) {
 	if col == nil {
 		return
 	}
-	m.metrics = col
-	m.obs = &observer{
-		txDuration: col.NewHistogram("tx.duration", "cycles"),
-		txRetries:  col.NewHistogram("tx.retries", "aborts"),
-		txReadSet:  col.NewHistogram("tx.readset", "lines"),
-		txWriteSet: col.NewHistogram("tx.writeset", "lines"),
-		txWasted:   col.NewHistogram("tx.wasted", "cycles"),
-		col:        col,
-		sites:      make(map[uint32]*siteHists),
-	}
+	o := m.observe()
+	o.col = col
+	o.txDuration = col.NewHistogram("tx.duration", "cycles")
+	o.txRetries = col.NewHistogram("tx.retries", "aborts")
+	o.txReadSet = col.NewHistogram("tx.readset", "lines")
+	o.txWriteSet = col.NewHistogram("tx.writeset", "lines")
+	o.txWasted = col.NewHistogram("tx.wasted", "cycles")
+	o.sites = make(map[uint32]*siteHists)
 	m.Mesh.EnableStats()
 
 	sum := func(f func(*stats.Counters) uint64) func() float64 {
@@ -97,11 +134,145 @@ func (m *Machine) EnableMetrics(col *metrics.Collector) {
 	col.Watch("redirect.pool.pages", metrics.Level, func() float64 { return float64(m.Redirect.Pool().Pages()) })
 }
 
-// Metrics returns the attached collector (possibly nil).
-func (m *Machine) Metrics() *metrics.Collector { return m.metrics }
+// tick advances the metrics sampler to the cycle of the next step.
+//
+//suv:hotpath
+func (o *observers) tick(at sim.Cycles) {
+	if o != nil {
+		o.col.Tick(at)
+	}
+}
+
+// event records one lifecycle event that only the recorder consumes
+// (begin, barrier, suspend/resume, fault window, token, starvation
+// escalation, remote kill), stamped with the current cycle.
+//
+//suv:hotpath
+func (o *observers) event(kind trace.Kind, core int, line sim.Line, other int, info uint64) {
+	if o != nil {
+		o.rec.Record(trace.Event{Cycle: o.m.now, Core: core, Kind: kind, Line: line, Other: other, Info: info})
+	}
+}
+
+// commit observes c's outermost commit (called from sealCommit, before
+// the transactional state is released).
+//
+//suv:hotpath
+func (o *observers) commit(c *Core) {
+	if o != nil {
+		o.onCommit(c)
+	}
+}
+
+// abort observes the start of c's abort; it reads attemptCyc and the
+// doom provenance before startAbort resets them.
+//
+//suv:hotpath
+func (o *observers) abort(c *Core) {
+	if o != nil {
+		o.onAbort(c)
+	}
+}
+
+// nack observes one refused access of c that costs it stall cycles.
+// holder is the core whose signatures refused it, or nil for an
+// injected refusal, which has no line and no signature decision.
+//
+//suv:hotpath
+func (o *observers) nack(c, holder *Core, line sim.Line, write bool, stall sim.Cycles, cause forensics.Cause, precise bool) {
+	if o != nil {
+		o.onNACK(c, holder, line, write, stall, cause, precise)
+	}
+}
+
+// lazyStall observes a lazy committer c stalled at commit arbitration
+// by eager holder h. Only forensics consumes it: the stall is not a
+// traced NACK.
+//
+//suv:hotpath
+func (o *observers) lazyStall(c, h *Core) {
+	if o != nil {
+		o.onLazyStall(c, h)
+	}
+}
+
+func (o *observers) onCommit(c *Core) {
+	m := o.m
+	o.rec.Record(trace.Event{Cycle: m.now, Core: c.ID, Kind: trace.Commit, Other: -1, Info: uint64(c.Frames[0].Site)})
+	if o.col == nil {
+		return
+	}
+	dur := m.now - c.attemptStart
+	o.txDuration.Observe(dur)
+	o.txRetries.Observe(uint64(c.consecAborts))
+	o.txReadSet.Observe(uint64(c.readSet.Len()))
+	o.txWriteSet.Observe(uint64(c.writeSet.Len()))
+	sh := o.site(c.Frames[0].Site)
+	sh.duration.Observe(dur)
+	sh.writeSet.Observe(uint64(c.writeSet.Len()))
+}
+
+func (o *observers) onAbort(c *Core) {
+	m := o.m
+	o.rec.Record(trace.Event{Cycle: m.now, Core: c.ID, Kind: trace.Abort, Other: -1, Info: uint64(c.Frames[0].Site)})
+	o.txWasted.Observe(m.now - c.attemptStart)
+	if o.fx == nil {
+		return
+	}
+	d := &c.doom
+	o.fx.Abort(forensics.AbortEvent{
+		Cycle: m.now, Victim: c.ID, VictimSite: c.txSite(), Wasted: c.attemptCyc, AttemptStart: c.attemptStart,
+		Killer: d.killer, KillerSite: d.killerSite, Line: d.line, Cause: d.cause, SigHit: d.sigHit, Precise: d.precise,
+	})
+}
+
+func (o *observers) onNACK(c, holder *Core, line sim.Line, write bool, stall sim.Cycles, cause forensics.Cause, precise bool) {
+	e := trace.Event{Cycle: o.m.now, Core: c.ID, Kind: trace.NACK, Other: -1}
+	if holder != nil {
+		e.Line, e.Other = line, holder.ID
+	}
+	o.rec.Record(e)
+	o.forensicNACK(c, holder, line, write, stall, cause, precise)
+}
+
+func (o *observers) onLazyStall(c, h *Core) {
+	if o.fx == nil {
+		return
+	}
+	// A commit-time validation stall is a signature decision like any
+	// other NACK: classify it against the precise sets and attribute the
+	// retry interval to the witness line.
+	line, precise := commitWitness(c, h)
+	o.forensicNACK(c, h, line, true, o.m.cfg.RetryInterval, forensics.CauseLazyValidation, precise)
+}
+
+// forensicNACK feeds one refused request to the forensics collector.
+func (o *observers) forensicNACK(c, holder *Core, line sim.Line, write bool, stall sim.Cycles, cause forensics.Cause, precise bool) {
+	if o.fx == nil {
+		return
+	}
+	ev := forensics.NACKEvent{
+		Cycle: o.m.now, Requester: c.ID, Holder: forensics.NoCore, Line: line,
+		Cause: cause, ReqSite: c.txSite(), HoldSite: forensics.NoSite, Stall: stall,
+	}
+	if holder != nil {
+		ev.Holder, ev.HoldSite = holder.ID, holder.txSite()
+		ev.SigHit, ev.Precise = true, precise
+		if write {
+			ev.Kind = forensics.Write
+		}
+		if line != forensics.NoLine {
+			ev.Sharers = o.m.Dir.HolderCount(line)
+		}
+		if !precise {
+			ev.AliasRate = max(holder.WriteSig.AliasRate(), holder.ReadSig.AliasRate())
+		}
+	}
+	o.fx.NACK(ev)
+}
 
 // site returns (lazily creating) the histogram group for a Begin site.
-func (o *observer) site(site uint32) *siteHists {
+func (o *observers) site(site uint32) *siteHists {
 	sh, ok := o.sites[site]
 	if !ok {
 		sh = &siteHists{
@@ -113,27 +284,14 @@ func (o *observer) site(site uint32) *siteHists {
 	return sh
 }
 
-// onCommit records a committing attempt (called from sealCommit, before
-// the transactional state is released).
-func (o *observer) onCommit(m *Machine, c *Core) {
-	dur := m.now - c.attemptStart
-	o.txDuration.Observe(dur)
-	o.txRetries.Observe(uint64(c.consecAborts))
-	o.txReadSet.Observe(uint64(c.readSet.Len()))
-	o.txWriteSet.Observe(uint64(c.writeSet.Len()))
-	sh := o.site(c.Frames[0].Site)
-	sh.duration.Observe(dur)
-	sh.writeSet.Observe(uint64(c.writeSet.Len()))
-}
-
-// onAbort records an aborting attempt's wasted window.
-func (o *observer) onAbort(m *Machine, c *Core) {
-	o.txWasted.Observe(m.now - c.attemptStart)
-}
-
-// finish flushes the trailing sample interval and builds the snapshot
-// breakout tables (directory message mix, mesh link utilisation).
-func (o *observer) finish(m *Machine, end uint64) {
+// finish ends the run at cycle end for the metrics collector: it
+// flushes the trailing sample interval and builds the snapshot breakout
+// tables (directory message mix, mesh link utilisation).
+func (o *observers) finish(end sim.Cycles) {
+	if o == nil || o.col == nil {
+		return
+	}
+	m := o.m
 	o.col.Finish(end)
 
 	ds := m.Dir.Stats()
@@ -188,4 +346,26 @@ func (o *observer) finish(m *Machine, end uint64) {
 		})
 	}
 	o.col.AddBreakout("tx.commits.by-site", mix)
+}
+
+// commitWitness extracts a deterministic (line, confirmed) witness for
+// a write-signature-vs-victim intersection: the smallest line the
+// committer's precise write set shares with the victim's precise read
+// or write set, or (NoLine, false) when the sets are disjoint — a pure
+// signature false positive.
+func commitWitness(committer, victim *Core) (sim.Line, bool) {
+	lr, okr := committer.writeSet.MinCommon(victim.readSet)
+	lw, okw := committer.writeSet.MinCommon(victim.writeSet)
+	switch {
+	case okr && okw:
+		if lw < lr {
+			return lw, true
+		}
+		return lr, true
+	case okr:
+		return lr, true
+	case okw:
+		return lw, true
+	}
+	return forensics.NoLine, false
 }

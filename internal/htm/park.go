@@ -43,8 +43,9 @@ import (
 // line. Settling k skipped retries applies k copies of each.
 //
 // Parking is off when anything observes individual retries or changes
-// the retry path: a tracer, metrics or forensics collector, a fault
-// injector, a progress-ladder rung, the invariant checker, or the debug
+// the retry path: any consumer on the observer seam (observe.go; an
+// attach call given nil attaches nothing), a fault injector, a
+// progress-ladder rung, the invariant checker, or the debug
 // always-check switch. All park state lives in the Machine.
 
 // parkAfter is how many consecutive NACKed attempts of one access run
@@ -122,7 +123,7 @@ func (m *Machine) SettledRetries() uint64 { return m.pk.settled }
 // startParking decides, once per run, whether retries may park.
 func (m *Machine) startParking() {
 	p := &m.pk
-	p.on = m.tracer == nil && m.metrics == nil && m.fx == nil && m.faults == nil &&
+	p.on = m.obs == nil && m.faults == nil &&
 		m.cfg.StarveThreshold == 0 && m.cfg.BoostAborts == 0 && m.cfg.HopelessAborts == 0 &&
 		m.cfg.CheckInterval == 0 && !debugAlwaysCheck
 	if p.on && p.recs == nil {

@@ -47,20 +47,17 @@ func (m *Machine) advanceFaults(now sim.Cycles) {
 	if len(trans) == 0 {
 		return
 	}
-	kind := trace.FaultOff
 	for _, t := range trans {
+		kind := trace.FaultOff
 		if t.Opened {
 			kind = trace.FaultOn
-		} else {
-			kind = trace.FaultOff
 		}
 		core := t.Event.Core
 		traceCore := core
 		if traceCore < 0 {
 			traceCore = 0 // the recorder needs a core; Other carries the real target
 		}
-		m.tracer.Record(trace.Event{Cycle: now, Core: traceCore, Kind: kind,
-			Other: core, Info: uint64(t.Event.Kind)})
+		m.obs.event(kind, traceCore, 0, core, uint64(t.Event.Kind))
 	}
 	// Recompute level state from the surviving window set (several
 	// windows of one kind may overlap; only the union matters).
@@ -88,19 +85,10 @@ func (m *Machine) injectedNACK(c *Core) bool {
 	}
 	c.Counters.InjectedNACKs++
 	c.Counters.NACKsReceived++
-	m.tracer.Record(trace.Event{Cycle: m.now, Core: c.ID, Kind: trace.NACK,
-		Line: sim.LineOf(0), Other: -1})
 	lat := m.cfg.DirLatency + m.cfg.RetryInterval
-	if m.fx.Enabled() {
-		// No holder and no signature: an injected refusal never enters the
-		// true-vs-false-positive accounting, only the stall profile.
-		m.fx.NACK(forensics.NACKEvent{
-			Cycle: m.now, Requester: c.ID, Holder: forensics.NoCore,
-			Line: forensics.NoLine, Cause: forensics.CauseInjected,
-			ReqSite: c.txSite(), HoldSite: forensics.NoSite,
-			Stall: lat,
-		})
-	}
+	// No holder and no signature: an injected refusal never enters the
+	// true-vs-false-positive accounting, only the stall profile.
+	m.obs.nack(c, nil, forensics.NoLine, false, lat, forensics.CauseInjected, false)
 	c.Breakdown.Add(stats.Stalled, lat)
 	m.maybeEscalate(c)
 	m.heap.Push(m.now+lat, c.ID)
@@ -160,8 +148,7 @@ func (m *Machine) maybeEscalate(c *Core) {
 func (m *Machine) grantToken(c *Core) {
 	m.tokenCore = c.ID
 	c.Counters.TokenGrants++
-	m.tracer.Record(trace.Event{Cycle: m.now, Core: c.ID, Kind: trace.TokenAcquire,
-		Other: -1, Info: uint64(c.consecAborts)})
+	m.obs.event(trace.TokenAcquire, c.ID, 0, -1, uint64(c.consecAborts))
 	for _, h := range m.Cores {
 		if h != c && h.InTx() && !h.abortPending {
 			// A token kill is forward-progress policy, not a data
@@ -176,7 +163,7 @@ func (m *Machine) grantToken(c *Core) {
 // parked cores wake on the next cycle and resume their begins.
 func (m *Machine) releaseToken(c *Core) {
 	m.tokenCore = -1
-	m.tracer.Record(trace.Event{Cycle: m.now, Core: c.ID, Kind: trace.TokenRelease, Other: -1})
+	m.obs.event(trace.TokenRelease, c.ID, 0, -1, 0)
 	wake := m.now + 1
 	for _, wid := range m.tokenWaiting {
 		w := m.Cores[wid]

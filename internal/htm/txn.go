@@ -37,7 +37,7 @@ func (m *Machine) doBegin(c *Core, site uint32) {
 		}
 		c.attemptStart = m.now
 		c.Counters.TxStarted++
-		m.tracer.Record(trace.Event{Cycle: m.now, Core: c.ID, Kind: trace.Begin, Other: -1, Info: uint64(site)})
+		m.obs.event(trace.Begin, c.ID, 0, -1, uint64(site))
 	}
 	lat := m.VM.Begin(m, c)
 	m.finishOp(c, lat)
@@ -160,9 +160,9 @@ func (m *Machine) killLazyReaders(committer *Core) {
 			// share one (the deterministic minimum common line); a doom
 			// with no witness is a pure signature false positive. The
 			// witness is observational only, so it is skipped entirely
-			// when nothing will consume it.
+			// when no observer is attached.
 			line, precise := forensics.NoLine, false
-			if m.fxWants() {
+			if m.obs != nil {
 				line, precise = commitWitness(committer, h)
 			}
 			h.doomBy(committer.ID, committer.txSite(), line, forensics.CauseCommitKill, true, precise)
@@ -191,28 +191,7 @@ func (m *Machine) lazyArbitrate(c *Core) bool {
 			c.Breakdown.Add(stats.Committing, m.cfg.RetryInterval)
 			c.Counters.NACKsReceived++
 			h.Counters.NACKsSent++
-			if m.fx.Enabled() {
-				// A commit-time validation stall is a signature decision
-				// like any other NACK: classify it against the precise
-				// sets and attribute the retry interval to the witness
-				// line.
-				line, precise := commitWitness(c, h)
-				ev := forensics.NACKEvent{
-					Cycle: m.now, Requester: c.ID, Holder: h.ID,
-					Line: line, Kind: forensics.Write,
-					Cause:   forensics.CauseLazyValidation,
-					ReqSite: c.txSite(), HoldSite: h.txSite(),
-					SigHit: true, Precise: precise,
-					Stall: m.cfg.RetryInterval,
-				}
-				if line != forensics.NoLine {
-					ev.Sharers = m.Dir.HolderCount(line)
-				}
-				if !precise {
-					ev.AliasRate = maxf(h.WriteSig.AliasRate(), h.ReadSig.AliasRate())
-				}
-				m.fx.NACK(ev)
-			}
+			m.obs.lazyStall(c, h)
 			c.status = statusLazyCommitWait
 			m.heap.Push(m.now+m.cfg.RetryInterval, c.ID)
 			return false
@@ -225,10 +204,7 @@ func (m *Machine) lazyArbitrate(c *Core) bool {
 // attempt cycles become Trans, overflow statistics are recorded, and all
 // transactional state is released.
 func (m *Machine) sealCommit(c *Core) {
-	m.tracer.Record(trace.Event{Cycle: m.now, Core: c.ID, Kind: trace.Commit, Other: -1, Info: uint64(c.Frames[0].Site)})
-	if m.obs != nil {
-		m.obs.onCommit(m, c)
-	}
+	m.obs.commit(c)
 	m.closeIsolationWindow(c)
 	if len(m.pk.parked) > 0 {
 		m.wakeHeldBy(c)
@@ -256,11 +232,7 @@ func (m *Machine) sealCommit(c *Core) {
 // charged by the caller (the NACKed request that triggered the abort)
 // that still has to elapse before the roll-back starts.
 func (m *Machine) startAbort(c *Core, lead sim.Cycles) {
-	m.tracer.Record(trace.Event{Cycle: m.now, Core: c.ID, Kind: trace.Abort, Other: -1, Info: uint64(c.Frames[0].Site)})
-	if m.obs != nil {
-		m.obs.onAbort(m, c)
-	}
-	m.fxAbort(c) // reads attemptCyc and the doom provenance before both reset
+	m.obs.abort(c)
 	c.Counters.TxAborted++
 	if c.overflowedL1 {
 		c.Counters.CacheOverflowTx++
@@ -318,8 +290,7 @@ func (m *Machine) finishAbort(c *Core) {
 	if m.cfg.BoostAborts > 0 && c.consecAborts >= m.cfg.BoostAborts && !c.escalated {
 		c.escalated = true
 		c.Counters.StarveEscalations++
-		m.tracer.Record(trace.Event{Cycle: m.now, Core: c.ID, Kind: trace.StarveEscalate,
-			Other: -1, Info: uint64(c.consecAborts)})
+		m.obs.event(trace.StarveEscalate, c.ID, 0, -1, uint64(c.consecAborts))
 	}
 	m.maybeEscalate(c)
 	if m.tokenCore == c.ID {
@@ -341,7 +312,7 @@ func (m *Machine) doBarrier(c *Core, id uint32) {
 		m.barriers[id] = bs
 	}
 	bs.arrived++
-	m.tracer.Record(trace.Event{Cycle: m.now, Core: c.ID, Kind: trace.BarrierArrive, Other: -1, Info: uint64(id)})
+	m.obs.event(trace.BarrierArrive, c.ID, 0, -1, uint64(id))
 	if bs.arrived < m.participants {
 		c.status = statusBarrier
 		c.barrierID = id
@@ -350,7 +321,7 @@ func (m *Machine) doBarrier(c *Core, id uint32) {
 		return
 	}
 	// Last arriver: release everyone at now+1.
-	m.tracer.Record(trace.Event{Cycle: m.now, Core: c.ID, Kind: trace.BarrierRelease, Other: -1, Info: uint64(id)})
+	m.obs.event(trace.BarrierRelease, c.ID, 0, -1, uint64(id))
 	release := m.now + 1
 	for _, wid := range bs.waiting {
 		w := m.Cores[wid]

@@ -137,9 +137,6 @@ func (c *Cache) Reset(cfg CacheConfig) {
 	c.stats = CacheStats{}
 }
 
-// Config returns the cache geometry.
-func (c *Cache) Config() CacheConfig { return c.cfg }
-
 // Stats returns the activity counts.
 func (c *Cache) Stats() CacheStats { return c.stats }
 

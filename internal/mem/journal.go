@@ -35,9 +35,6 @@ func (l *WriteLog) line(line sim.Line, vals [sim.WordsPerLine]sim.Word) {
 	})
 }
 
-// Len returns the number of recorded mutations.
-func (l *WriteLog) Len() int { return len(l.entries) }
-
 // Replay applies the log to m in recording order.
 func (l *WriteLog) Replay(m *Memory) {
 	for i := range l.entries {

@@ -50,6 +50,3 @@ func (t *TLB) Hits() uint64 { return t.hits }
 
 // Misses returns the miss count.
 func (t *TLB) Misses() uint64 { return t.misses }
-
-// Size returns the capacity.
-func (t *TLB) Size() int { return t.size }

@@ -8,8 +8,8 @@ import (
 )
 
 // Geometry reproduces the redirect-entry bit layout of Figure 3
-// (cactimodel.SectionVC does the per-core storage arithmetic of Section
-// V-C). A first-level entry does not store full addresses: the original
+// (cactimodel.PaperSectionVC sizes Section V-C's per-core storage with
+// it). A first-level entry does not store full addresses: the original
 // address is reconstructed from the stored L1 data-cache set-index bits
 // plus the cache tag, and the redirected address from a TLB index (the
 // preserved-pool page) plus an in-page line offset.

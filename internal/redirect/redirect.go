@@ -201,9 +201,6 @@ func (r *Redirect) Reset(cfg Config, alloc *mem.Allocator) {
 	r.Watch(false)
 }
 
-// Config returns the configuration.
-func (r *Redirect) Config() Config { return r.cfg }
-
 // Pool exposes the preserved pool (stats, tests).
 func (r *Redirect) Pool() *Pool { return r.pool }
 
@@ -515,9 +512,6 @@ func (r *Redirect) TxOverflowed(core int) bool { return r.overflow[core] }
 // SetPressure forces (or releases) first-level entry pressure; see the
 // field comment.
 func (r *Redirect) SetPressure(on bool) { r.pressured = on }
-
-// Pressured reports whether injected entry pressure is active.
-func (r *Redirect) Pressured() bool { return r.pressured }
 
 // fillL1 caches an entry line in core's first-level table (unpinned).
 func (r *Redirect) fillL1(core int, line sim.Line, pinned bool) {

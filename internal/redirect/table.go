@@ -171,8 +171,6 @@ func (t *l1Table) remove(line sim.Line) {
 	}
 }
 
-func (t *l1Table) len() int { return t.index.Len() }
-
 // l2Table is the shared second-level redirect table: set-associative,
 // LRU-replaced, fixed access latency. Entries evicted here are swapped
 // out to a software-managed structure in main memory.
@@ -275,5 +273,3 @@ func (t *l2Table) remove(line sim.Line) {
 		}
 	}
 }
-
-func (t *l2Table) len() int { return t.n }

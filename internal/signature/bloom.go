@@ -52,9 +52,6 @@ func (b *Bloom) Add(line sim.Line) {
 // comment.
 func (b *Bloom) SetSaturated(on bool) { b.saturated = on }
 
-// Saturated reports whether the saturation overlay is active.
-func (b *Bloom) Saturated() bool { return b.saturated }
-
 // Test reports whether line may be in the signature (false positives are
 // possible, false negatives are not).
 //

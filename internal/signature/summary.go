@@ -46,9 +46,6 @@ func NewSummary(numBits uint32, kind HashKind) *Summary {
 	return &Summary{kind: kind, bits: numBits, sig: make([]uint64, words), once: make([]uint64, words)}
 }
 
-// Bits returns the signature width in bits.
-func (s *Summary) Bits() uint32 { return s.bits }
-
 // Add records that line is now redirected.
 func (s *Summary) Add(line sim.Line) {
 	s.muts++
@@ -108,9 +105,6 @@ func (s *Summary) SetSaturated(on bool) {
 	s.muts++
 	s.saturated = on
 }
-
-// Saturated reports whether the saturation overlay is active.
-func (s *Summary) Saturated() bool { return s.saturated }
 
 // Clear resets both the signature and the bit-vector.
 func (s *Summary) Clear() {

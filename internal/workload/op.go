@@ -120,19 +120,6 @@ type Builder struct {
 // NewBuilder returns an empty builder.
 func NewBuilder() *Builder { return &Builder{} }
 
-// Reserve pre-grows the op buffer for at least n more ops. Generators
-// that know their program size up front use it to skip the append
-// doublings — at benchmark scales the copies otherwise rival the cost
-// of simulating the ops.
-func (b *Builder) Reserve(n int) *Builder {
-	if n > cap(b.ops)-len(b.ops) {
-		grown := make([]Op, len(b.ops), len(b.ops)+n)
-		copy(grown, b.ops)
-		b.ops = grown
-	}
-	return b
-}
-
 // Compute appends n cycles of non-memory work (no-op for n == 0).
 func (b *Builder) Compute(n uint32) *Builder {
 	if n > 0 {
@@ -252,6 +239,3 @@ func (b *Builder) Build() Program {
 	}
 	return Program{Ops: b.ops}
 }
-
-// Len returns the number of ops appended so far.
-func (b *Builder) Len() int { return len(b.ops) }

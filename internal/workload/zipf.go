@@ -38,6 +38,3 @@ func (z *Zipf) Sample(rng *sim.RNG) int {
 	u := rng.Float64()
 	return sort.SearchFloat64s(z.cdf, u)
 }
-
-// N returns the domain size.
-func (z *Zipf) N() int { return len(z.cdf) }

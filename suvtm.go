@@ -351,5 +351,5 @@ func EstimateTable(nm, entries, entryBits int) (HWEstimate, error) {
 
 // SUVHardwareCost computes the Section V-C overhead summary.
 func SUVHardwareCost(cores int, clockGHz float64) (HWCost, error) {
-	return cactimodel.SectionVC(cores, clockGHz, 2048, 2048, 512, 22)
+	return cactimodel.PaperSectionVC(cores, clockGHz)
 }
