@@ -281,7 +281,7 @@ func BenchmarkScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sc, err = experiments.RunScaling("intruder",
 			[]experiments.Scheme{experiments.LogTMSE, experiments.SUVTM},
-			[]int{1, 4, 16}, 1, benchScale)
+			[]int{1, 4, 16}, experiments.Options{Seed: 1, Scale: benchScale})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -102,8 +102,7 @@ func main() {
 	if *scaling != "" {
 		ran = true
 		sc, err := experiments.RunScaling(*scaling,
-			[]experiments.Scheme{experiments.LogTMSE, experiments.SUVTM},
-			nil, *seed, opts.Scale)
+			[]experiments.Scheme{experiments.LogTMSE, experiments.SUVTM}, nil, opts)
 		if err != nil {
 			fail(err)
 		}

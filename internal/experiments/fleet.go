@@ -167,7 +167,9 @@ func (t *progressTracker) snapshotLocked() FleetProgress {
 // order. On failure it returns the first error in spec order among the
 // runs that executed; see RunMany for the partial-outcome contract.
 // When o.Context is canceled mid-batch, dispatch stops and the
-// context's error is returned if any spec was never dispatched.
+// context's error is returned if any spec was never dispatched. Unless
+// o.NoCache is set, a pure spec's Result is shared with the run cache
+// (see RunCached): read it, never write through it.
 func RunManyWith(specs []Spec, o BatchOptions) ([]*Outcome, error) {
 	outcomes, errs := runBatch(specs, o)
 	for _, err := range errs {
@@ -188,7 +190,8 @@ func RunManyWith(specs []Spec, o BatchOptions) ([]*Outcome, error) {
 // RunCached is Run behind the fleet cache: a pure spec is served from
 // (and stored to) the in-process and optional on-disk tiers, while
 // specs with observability or fault-injection outputs fall through to a
-// cold Run.
+// cold Run. A pure spec's Outcome.Result is shared with its cache entry
+// (a hit's is the entry's own): read it, never write through it.
 func RunCached(spec Spec) (*Outcome, error) {
 	return runCachedSpec(spec, nil, BatchOptions{})
 }
@@ -213,7 +216,6 @@ func runBatch(specs []Spec, o BatchOptions) ([]*Outcome, []error) {
 		ctx = context.Background()
 	}
 	order := dispatchOrder(specs)
-	keep := batchKeys(specs)
 	outcomes := make([]*Outcome, len(specs))
 	errs := make([]error, len(specs))
 	progress := newProgressTracker(len(specs), o)
@@ -225,7 +227,6 @@ func runBatch(specs []Spec, o BatchOptions) ([]*Outcome, []error) {
 		go func() {
 			defer wg.Done()
 			arena := arenaPool.Get().(*machineArena)
-			arena.prune(keep)
 			defer arenaPool.Put(arena)
 			for {
 				if ctx.Err() != nil {
@@ -270,12 +271,12 @@ type machineArena struct {
 	alloc  *mem.Allocator
 	pre    htm.Prebuilt
 
-	// workloads memoizes generated workload images so a sweep that
-	// revisits the same (app, cores, seed, scale) — the classic
-	// scheme-comparison shape — regenerates nothing: the App is reused
-	// and the memory image is replayed from the write journal.
-	workloads map[workloadKey]*workloadMemo
-	wlCost    int // total program ops pinned by the memo
+	// last is the worker's most recent workload image. A run of the same
+	// (app, cores, seed, scale) — the next scheme of a comparison, which
+	// dispatchOrder hands the same worker back to back — regenerates
+	// nothing: the App is reused and the memory image is replayed from
+	// the write journal.
+	last workloadMemo
 }
 
 // workloadKey identifies one generated workload image. Generation is a
@@ -295,84 +296,34 @@ func keyOf(spec Spec) workloadKey {
 	return workloadKey{spec.App, cores, seed, scale}
 }
 
-// batchKeys returns the workload keys of a batch's specs.
-func batchKeys(specs []Spec) map[workloadKey]bool {
-	keys := make(map[workloadKey]bool, len(specs))
-	for _, s := range specs {
-		keys[keyOf(s)] = true
-	}
-	return keys
-}
-
-// prune drops every memoized workload whose key is not in keep, so a
-// worker's memo holds images of the running batch only: a stream of
-// batches with fresh seeds (a benchmark loop, suvd jobs) would otherwise
-// pin dead images until the budget flushes them. A following batch that
-// shares keys, as a sweep's next point does, still replays them.
-func (a *machineArena) prune(keep map[workloadKey]bool) {
-	//suv:orderinsensitive each entry is kept or dropped on its own key, and wlCost is a sum
-	for key, rec := range a.workloads {
-		if !keep[key] {
-			a.wlCost -= rec.cost
-			delete(a.workloads, key)
-		}
-	}
-}
-
-// workloadMemo is one cached generation: the immutable App (programs
-// are read-only during simulation; Check closures read memory only
-// after the run), the memory write journal, and the allocator span the
-// generator consumed.
+// workloadMemo is one generated image: its key, the immutable App
+// (programs are read-only during simulation; Check closures read memory
+// only after the run), the memory write journal, and the allocator span
+// the generator consumed.
 type workloadMemo struct {
+	key   workloadKey
 	app   *workload.App
 	log   *mem.WriteLog
 	start sim.Addr // allocator cursor when generation began
 	bytes uint64   // allocator bytes generation consumed
-	cost  int      // total program ops (memo budget unit)
 }
 
-// workloadMemoBudget caps the program ops one worker's memo may pin,
-// bounding its host-heap footprint (programs dominate the retained
-// bytes). Overflow flushes the whole memo: the budget exists to bound
-// memory, not to maximize hit rate, and whole-map flushes keep the
-// policy deterministic.
-const workloadMemoBudget = 3 << 20
-
-// generate returns the App for key, either replaying a memoized image
-// into the freshly reset memory/allocator or running gen (journaled)
-// and memoizing the result.
+// generate returns the App for key, either replaying the worker's last
+// image into the freshly reset memory/allocator or running gen
+// (journaled) and keeping its image in place of the last one.
 func (a *machineArena) generate(key workloadKey, memory *mem.Memory, alloc *mem.Allocator, gen func() *workload.App) *workload.App {
-	if rec, ok := a.workloads[key]; ok && alloc.Next() == rec.start {
-		rec.log.Replay(memory)
-		alloc.Alloc(rec.bytes, 1)
+	if m := &a.last; m.key == key && alloc.Next() == m.start {
+		m.log.Replay(memory)
+		alloc.Alloc(m.bytes, 1)
 		fleetWorkloadReplays.Add(1)
-		return rec.app
+		return m.app
 	}
+	// Unpin the old image first, so the heap never holds two of them.
+	a.last = workloadMemo{}
 	start := alloc.Next()
 	memory.StartJournal()
 	app := gen()
-	log := memory.StopJournal()
-	cost := 0
-	for i := range app.Programs {
-		cost += len(app.Programs[i].Ops)
-	}
-	if a.wlCost+cost > workloadMemoBudget {
-		clear(a.workloads)
-		a.wlCost = 0
-	}
-	if cost <= workloadMemoBudget {
-		if a.workloads == nil {
-			a.workloads = make(map[workloadKey]*workloadMemo)
-		}
-		a.workloads[key] = &workloadMemo{
-			app:   app,
-			log:   log,
-			start: start,
-			bytes: uint64(alloc.Next() - start),
-			cost:  cost,
-		}
-		a.wlCost += cost
-	}
+	a.last = workloadMemo{key: key, app: app, log: memory.StopJournal(), start: start, bytes: uint64(alloc.Next() - start)}
 	return app
 }
 
@@ -403,9 +354,7 @@ func (a *machineArena) keep(m *htm.Machine) {
 // Run cache glue.
 
 var (
-	fleetCache       atomic.Pointer[runcache.Cache]
-	fleetCacheRoot   sync.Mutex // guards the configured disk root below
-	fleetCacheDir    string
+	fleetCache       = runcache.New()
 	fleetVerifyEvery atomic.Int64 // 0 = off; N = re-simulate 1st and every Nth hit
 	fleetHitSeq      atomic.Uint64
 	fleetVerified    atomic.Uint64
@@ -414,19 +363,9 @@ var (
 	fleetWorkloadReplays atomic.Uint64
 )
 
-func init() { fleetCache.Store(runcache.New()) }
-
 // SetRunCacheDir attaches (dir != "") or detaches (dir == "") the
 // on-disk cache tier for this process.
-func SetRunCacheDir(dir string) error {
-	if err := fleetCache.Load().SetDir(dir); err != nil {
-		return err
-	}
-	fleetCacheRoot.Lock()
-	fleetCacheDir = dir
-	fleetCacheRoot.Unlock()
-	return nil
-}
+func SetRunCacheDir(dir string) error { return fleetCache.SetDir(dir) }
 
 // SetRunCacheVerify arms spot-check mode: the first and every Nth cache
 // hit is re-simulated and compared bit-for-bit against the cached
@@ -438,18 +377,10 @@ func SetRunCacheVerify(everyN int) {
 
 // ResetRunCache drops the in-process cache tier and zeroes the fleet
 // counters, keeping any configured disk tier attached (tests and
-// benchmarks use it to return to a cold or disk-only state).
+// benchmarks use it between batches to return to a cold or disk-only
+// state). It never fails.
 func ResetRunCache() error {
-	c := runcache.New()
-	fleetCacheRoot.Lock()
-	dir := fleetCacheDir
-	fleetCacheRoot.Unlock()
-	if dir != "" {
-		if err := c.SetDir(dir); err != nil {
-			return err
-		}
-	}
-	fleetCache.Store(c)
+	fleetCache.Reset()
 	fleetHitSeq.Store(0)
 	fleetVerified.Store(0)
 	fleetArenaReuses.Store(0)
@@ -471,7 +402,7 @@ type FleetStats struct {
 // FleetSnapshot returns the current fleet counters.
 func FleetSnapshot() FleetStats {
 	return FleetStats{
-		Stats:       fleetCache.Load().Stats(),
+		Stats:       fleetCache.Stats(),
 		Verified:    fleetVerified.Load(),
 		ArenaReuses: fleetArenaReuses.Load(),
 
@@ -500,7 +431,7 @@ func Cacheable(spec Spec) bool {
 // counters; suvd's load-shedding ladder uses it to admit only
 // cache-servable work when degraded.
 func Cached(spec Spec) bool {
-	return Cacheable(spec) && fleetCache.Load().Peek(fingerprintOf(spec))
+	return Cacheable(spec) && fleetCache.Peek(fingerprintOf(spec))
 }
 
 // fingerprintOf resolves a pure spec exactly as runSpec does — defaults
@@ -527,116 +458,44 @@ func tweaked(cfg htm.Config, tweak func(*htm.Config)) htm.Config {
 }
 
 // runCachedSpec is runSpec behind the cache: bypass impure specs, serve
-// hits (spot-checking when armed), run concurrent misses on one
-// fingerprint once, and store successful invariant-clean outcomes.
+// hits (spot-checking when armed), and store successful invariant-clean
+// outcomes. A hit's Result is the entry's own; a stored miss's Result
+// shares its PerCore rows with the entry.
 func runCachedSpec(spec Spec, arena *machineArena, o BatchOptions) (*Outcome, error) {
 	if o.NoCache {
 		return runSpec(spec, arena)
 	}
-	c := fleetCache.Load()
 	if !Cacheable(spec) {
-		c.Bypass()
+		fleetCache.Bypass()
 		return runSpec(spec, arena)
 	}
-	key := fingerprintOf(spec)
-	e, ok := c.Get(key)
-	if !ok {
-		var out *Outcome
-		var err error
-		if e, out, err = runMiss(c, key, spec, arena); e == nil {
-			return out, err
+	var out *Outcome
+	var err error
+	run := func() *runcache.Entry {
+		if out, err = runSpec(spec, arena); err != nil || out.CheckErr != nil {
+			return nil
 		}
+		return &runcache.Entry{Result: *out.Result, PoolPages: out.PoolPages, RedirectEn: out.RedirectEn}
+	}
+	e, hit := fleetCache.Do(fingerprintOf(spec), run)
+	if !hit {
+		return out, err
 	}
 	if every := fleetVerifyEvery.Load(); every > 0 {
 		if n := fleetHitSeq.Add(1); (n-1)%uint64(every) == 0 {
-			fresh, ferr := runSpec(spec, arena)
-			if ferr != nil {
-				return fresh, fmt.Errorf("runcache verify: live re-run failed: %w", ferr)
+			fresh := run()
+			if err != nil {
+				return out, fmt.Errorf("runcache verify: live re-run failed: %w", err)
 			}
-			if !e.Equal(entryOf(fresh)) {
-				return fresh, fmt.Errorf("runcache verify: cached outcome for %s under %s diverges from a live re-run (stale or corrupted cache dir?)", spec.App, spec.Scheme)
+			if !e.Equal(fresh) {
+				return out, fmt.Errorf("runcache verify: cached outcome for %s under %s diverges from a live re-run (stale or corrupted cache dir?)", spec.App, spec.Scheme)
 			}
 			fleetVerified.Add(1)
 		}
 	}
-	return outcomeFromEntry(spec, e), nil
-}
-
-// Cache misses in flight, by fingerprint: the channel closes when the
-// leading run has finished and stored whatever it will store.
-var (
-	flightsMu sync.Mutex
-	flights   = make(map[runcache.Key]chan struct{})
-)
-
-// runMiss handles a cache miss on key. The first miss on a fingerprint
-// leads: it runs the spec and stores a successful, invariant-clean
-// outcome. A concurrent miss on the same fingerprint waits for the
-// leader and is then served the stored entry as a hit; when the leader
-// stored nothing (an error or a failed check), it runs the spec itself.
-// A non-nil entry means the miss was served from the cache.
-func runMiss(c *runcache.Cache, key runcache.Key, spec Spec, arena *machineArena) (*runcache.Entry, *Outcome, error) {
-	flightsMu.Lock()
-	f, follow := flights[key]
-	if !follow {
-		f = make(chan struct{})
-		flights[key] = f
-	}
-	flightsMu.Unlock()
-	if follow {
-		<-f
-	} else {
-		defer func() {
-			flightsMu.Lock()
-			delete(flights, key)
-			flightsMu.Unlock()
-			close(f)
-		}()
-	}
-	// For a leader, this catches a flight that landed between its miss
-	// and its join.
-	if e, ok := c.Coalesced(key); ok {
-		return e, nil, nil
-	}
-	out, err := runSpec(spec, arena)
-	if err == nil && out.CheckErr == nil {
-		// A disk-write failure degrades the cache, not the run: the
-		// entry still serves from memory, so the error is dropped.
-		_ = c.Put(key, entryOf(out))
-	}
-	return nil, out, err
-}
-
-// entryOf extracts the cacheable portion of a successful outcome.
-func entryOf(out *Outcome) *runcache.Entry {
-	if out == nil || out.Result == nil {
-		return nil
-	}
-	return &runcache.Entry{
-		Cycles:     out.Cycles,
-		Breakdown:  out.Breakdown,
-		PerCore:    append([]stats.Breakdown(nil), out.PerCore...),
-		Counters:   out.Counters,
-		PoolPages:  out.PoolPages,
-		RedirectEn: out.RedirectEn,
-	}
-}
-
-// outcomeFromEntry reconstitutes a cache-served Outcome. AppMeta stays
-// nil (no generator ran) and CheckErr nil (only invariant-clean runs
-// are ever stored).
-func outcomeFromEntry(spec Spec, e *runcache.Entry) *Outcome {
-	return &Outcome{
-		Spec: spec,
-		Result: &htm.Result{
-			Cycles:    e.Cycles,
-			Breakdown: e.Breakdown,
-			PerCore:   append([]stats.Breakdown(nil), e.PerCore...),
-			Counters:  e.Counters,
-		},
-		PoolPages:  e.PoolPages,
-		RedirectEn: e.RedirectEn,
-	}
+	// AppMeta stays nil (no generator ran) and CheckErr nil (only
+	// invariant-clean runs are stored).
+	return &Outcome{Spec: spec, Result: &e.Result, PoolPages: e.PoolPages, RedirectEn: e.RedirectEn}, nil
 }
 
 // ---------------------------------------------------------------------
@@ -650,8 +509,11 @@ var (
 // dispatchOrder returns the order in which to execute specs:
 // longest-expected-first (the classic LPT makespan heuristic), so a
 // slow bayes run starts immediately instead of serializing the tail of
-// the batch. The sort is stable, keeping submission order among equals
-// — a batch of identical specs (chaos replays) executes unchanged.
+// the batch. Equal costs group by workload, in the order the batch first
+// names each one, so a worker's runs of one workload come back to back
+// and replay its last image. The sort is stable, keeping submission
+// order within a workload — a batch of identical specs (chaos replays)
+// executes unchanged.
 func dispatchOrder(specs []Spec) []int {
 	order := make([]int, len(specs))
 	for i := range order {
@@ -661,11 +523,24 @@ func dispatchOrder(specs []Spec) []int {
 		return order
 	}
 	cost := make([]float64, len(specs))
+	first := make([]int, len(specs)) // index of the first spec of the same workload
+	seen := make(map[workloadKey]int, len(specs))
 	for i := range specs {
 		cost[i] = expectedCost(specs[i])
+		k := keyOf(specs[i])
+		f, ok := seen[k]
+		if !ok {
+			f = i
+			seen[k] = f
+		}
+		first[i] = f
 	}
 	sort.SliceStable(order, func(a, b int) bool {
-		return cost[order[a]] > cost[order[b]]
+		i, j := order[a], order[b]
+		if cost[i] != cost[j] {
+			return cost[i] > cost[j]
+		}
+		return first[i] < first[j]
 	})
 	return order
 }

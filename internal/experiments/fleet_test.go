@@ -126,13 +126,13 @@ func TestRunCacheVerify(t *testing.T) {
 
 	// Poison the cached entry; the next hit must fail loudly.
 	key := fingerprintOf(fleetSpec)
-	e, ok := fleetCache.Load().Get(key)
+	e, ok := fleetCache.Get(key)
 	if !ok {
 		t.Fatal("entry vanished")
 	}
 	poisoned := *e
 	poisoned.Cycles++
-	fleetCache.Load().Put(key, &poisoned)
+	fleetCache.Put(key, &poisoned)
 	if _, err := RunManyWith([]Spec{fleetSpec}, BatchOptions{}); err == nil {
 		t.Fatal("verify did not catch a poisoned cache entry")
 	}
@@ -196,7 +196,7 @@ func TestRunCacheDiskTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := fingerprintOf(fleetSpec)
-	path := fleetCache.Load().EntryPath(key)
+	path := fleetCache.EntryPath(key)
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("entry not persisted: %v", err)
 	}
@@ -364,6 +364,22 @@ func TestDispatchOrder(t *testing.T) {
 	if got := dispatchOrder(same); !reflect.DeepEqual(got, []int{0, 1}) {
 		t.Errorf("equal-cost order = %v, want [0 1]", got)
 	}
+
+	// An equal-cost batch that cycles through workloads, as the chaos
+	// sweep submits its seeds, groups by workload in first-seen order and
+	// keeps identical specs in submission order.
+	chaos := []Spec{
+		{App: "intruder", Scheme: SUVTM, Seed: 2},
+		{App: "intruder", Scheme: SUVTM, Seed: 2}, // replay of 0
+		{App: "intruder", Scheme: SUVTM, Seed: 1},
+		{App: "intruder", Scheme: LogTMSE, Seed: 2},
+		{App: "intruder", Scheme: LogTMSE, Seed: 1},
+		{App: "intruder", Scheme: SUVTM, Seed: 3},
+		{App: "intruder", Scheme: LogTMSE, Seed: 2},
+	}
+	if got, want := dispatchOrder(chaos), []int{0, 1, 3, 6, 2, 4, 5}; !reflect.DeepEqual(got, want) {
+		t.Errorf("interleaved equal-cost order = %v, want %v (seed 2, seed 1, seed 3)", got, want)
+	}
 }
 
 // TestRunManyContextCancel pins the BatchOptions.Context contract: once
@@ -467,52 +483,38 @@ func TestFleetProgressEveryCompletion(t *testing.T) {
 	}
 }
 
-// TestWorkloadMemoKeepsOnlyTheBatch pins the memo's scope: a worker
-// handed its arena for a batch drops the images no spec in the batch
-// uses, and keeps the ones it does, so a batch with fresh seeds starts
-// from a memo holding nothing dead, in-batch repeats still replay, and a
-// repeated batch replays every image.
-func TestWorkloadMemoKeepsOnlyTheBatch(t *testing.T) {
-	batch := func(seed uint64) []Spec {
-		return []Spec{
-			{App: "intruder", Scheme: SUVTM, Cores: 4, Seed: seed, Scale: 0.05},
-			{App: "intruder", Scheme: LogTMSE, Cores: 4, Seed: seed, Scale: 0.05},
-			{App: "kmeans", Scheme: SUVTM, Cores: 4, Seed: seed, Scale: 0.05},
-		}
-	}
+// TestWorkloadMemoReplaysConsecutiveRuns pins the memo's scope: a worker
+// keeps only its last workload image, so a run replays it when the run
+// before it on that worker generated the same workload, and regenerates
+// after any other workload came between them.
+func TestWorkloadMemoReplaysConsecutiveRuns(t *testing.T) {
+	intruder := func(s Scheme) Spec { return Spec{App: "intruder", Scheme: s, Cores: 4, Seed: 11, Scale: 0.05} }
+	kmeans := Spec{App: "kmeans", Scheme: SUVTM, Cores: 4, Seed: 11, Scale: 0.05}
 	arena := new(machineArena)
-	run := func(specs []Spec) uint64 {
-		t.Helper()
-		arena.prune(batchKeys(specs))
+	for i, step := range []struct {
+		spec   Spec
+		replay bool
+	}{
+		{intruder(SUVTM), false},
+		{intruder(LogTMSE), true}, // the same workload, back to back
+		{intruder(FasTM), true},
+		{kmeans, false},
+		{intruder(SUVTM), false}, // kmeans replaced the intruder image
+		{intruder(LogTMSE), true},
+	} {
 		before := fleetWorkloadReplays.Load()
-		for _, s := range specs {
-			if _, err := runSpec(s, arena); err != nil {
-				t.Fatal(err)
-			}
+		out, err := runSpec(step.spec, arena)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return fleetWorkloadReplays.Load() - before
-	}
-	if n := run(batch(11)); n != 1 {
-		t.Fatalf("first batch replayed %d images, want 1 (the repeated intruder key)", n)
-	}
-	if n := run(batch(12)); n != 1 {
-		t.Fatalf("second batch replayed %d images, want 1", n)
-	}
-	want := batchKeys(batch(12))
-	if len(arena.workloads) != len(want) {
-		t.Fatalf("memo holds %d images after the second batch, want its %d", len(arena.workloads), len(want))
-	}
-	cost := 0
-	for key, rec := range arena.workloads {
-		if !want[key] {
-			t.Fatalf("memo kept %+v from the first batch", key)
+		if replayed := fleetWorkloadReplays.Load() != before; replayed != step.replay {
+			t.Errorf("run %d (%s/%s): replayed = %v, want %v", i, step.spec.App, step.spec.Scheme, replayed, step.replay)
 		}
-		cost += rec.cost
+		if cold, err := Run(step.spec); err != nil || !sameOutcome(out, cold) {
+			t.Errorf("run %d (%s/%s): arena outcome differs from a cold run (%v)", i, step.spec.App, step.spec.Scheme, err)
+		}
 	}
-	if cost != arena.wlCost {
-		t.Fatalf("memo cost %d, entries sum to %d", arena.wlCost, cost)
-	}
-	if n := run(batch(12)); n != 3 {
-		t.Fatalf("repeated batch replayed %d images, want all 3", n)
+	if got, want := arena.last.key, keyOf(intruder(SUVTM)); got != want {
+		t.Errorf("arena holds %+v, want the last run's %+v", got, want)
 	}
 }

@@ -29,18 +29,20 @@ type Scaling struct {
 
 // RunScaling sweeps the core count for app under the given schemes —
 // the direct test of the paper's thesis that shorter isolation windows
-// expose more thread parallelism.
-func RunScaling(app string, schemes []Scheme, coreCounts []int, seed uint64, scale float64) (*Scaling, error) {
+// expose more thread parallelism. It reads opts' Seed, Scale, Jobs and
+// OnProgress; the app and core counts come from its own arguments, so
+// opts.Cores and opts.Apps are ignored.
+func RunScaling(app string, schemes []Scheme, coreCounts []int, opts Options) (*Scaling, error) {
 	if len(coreCounts) == 0 {
 		coreCounts = ScalingCores
 	}
 	var specs []Spec
 	for _, n := range coreCounts {
 		for _, s := range schemes {
-			specs = append(specs, Spec{App: app, Scheme: s, Cores: n, Seed: seed, Scale: scale})
+			specs = append(specs, Spec{App: app, Scheme: s, Cores: n, Seed: opts.Seed, Scale: opts.Scale})
 		}
 	}
-	outs, err := RunMany(specs)
+	outs, err := RunManyWith(specs, opts.batch())
 	if err != nil {
 		return nil, err
 	}

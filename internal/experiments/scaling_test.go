@@ -9,7 +9,7 @@ import (
 // efficiency must dominate LogTM-SE's once contention kicks in, and
 // both must be ~1.0 at one core.
 func TestScalingShape(t *testing.T) {
-	sc, err := RunScaling("intruder", []Scheme{LogTMSE, SUVTM}, []int{1, 4, 16}, 1, 0.15)
+	sc, err := RunScaling("intruder", []Scheme{LogTMSE, SUVTM}, []int{1, 4, 16}, Options{Seed: 1, Scale: 0.15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestScalingShape(t *testing.T) {
 // TestScalingSingleCoreNoAborts: with one core there is no contention,
 // so no scheme may abort.
 func TestScalingSingleCoreNoAborts(t *testing.T) {
-	sc, err := RunScaling("counter", allSchemes, []int{1}, 1, 0.2)
+	sc, err := RunScaling("counter", allSchemes, []int{1}, Options{Seed: 1, Scale: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,5 +38,30 @@ func TestScalingSingleCoreNoAborts(t *testing.T) {
 		if n := sc.Points[0].PerSch[s].Counters.TxAborted; n != 0 {
 			t.Errorf("%s aborted %d transactions on one core", s, n)
 		}
+	}
+}
+
+// TestCampaignDriversHonourOptions: the seed study and the scaling study
+// run their batches under the caller's Options, so OnProgress sees one
+// snapshot per run.
+func TestCampaignDriversHonourOptions(t *testing.T) {
+	snaps := 0
+	opts := Options{
+		Cores: 4, Seed: 1, Scale: 0.05, Apps: []string{"counter"}, Jobs: 2,
+		// Snapshots are emitted under the batch's progress lock.
+		OnProgress: func(FleetProgress) { snaps++ },
+	}
+	if _, err := RunSeedStudy(opts, LogTMSE, SUVTM, []uint64{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if snaps != 4 {
+		t.Errorf("seed study: %d progress snapshots for 4 runs", snaps)
+	}
+	snaps = 0
+	if _, err := RunScaling("counter", []Scheme{LogTMSE, SUVTM}, []int{1, 2, 4}, opts); err != nil {
+		t.Fatal(err)
+	}
+	if snaps != 6 {
+		t.Errorf("scaling study: %d progress snapshots for 6 runs", snaps)
 	}
 }

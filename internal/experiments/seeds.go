@@ -45,7 +45,7 @@ func RunSeedStudy(opts Options, base, mine Scheme, seeds []uint64) (*SeedStudy, 
 			}
 		}
 	}
-	outs, err := RunMany(specs)
+	outs, err := RunManyWith(specs, opts.batch())
 	if err != nil {
 		return nil, err
 	}

@@ -83,7 +83,7 @@ func RenderTable4() string {
 			continue
 		}
 		memory := mem.NewMemory()
-		alloc := mem.NewAllocator(0x100000, 1<<33)
+		alloc := mem.NewAllocator(heapBase, heapSize)
 		app := gen(workload.GenConfig{Cores: 2, Seed: 1, Scale: 0.05}, alloc, memory)
 		cont := "Low"
 		if app.HighContention {

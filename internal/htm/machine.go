@@ -63,12 +63,13 @@ type barrierState struct {
 	waiting []int
 }
 
-// Result is the outcome of one simulation run.
+// Result is the outcome of one simulation run. The JSON keys are the run
+// cache's on-disk format (runcache.Entry embeds a Result).
 type Result struct {
-	Cycles    sim.Cycles // wall-clock of the slowest core
-	Breakdown stats.Breakdown
-	PerCore   []stats.Breakdown
-	Counters  stats.Counters
+	Cycles    sim.Cycles        `json:"cycles"` // wall-clock of the slowest core
+	Breakdown stats.Breakdown   `json:"breakdown"`
+	PerCore   []stats.Breakdown `json:"per_core"`
+	Counters  stats.Counters    `json:"counters"`
 }
 
 // Prebuilt carries reusable machine components a campaign worker retains

@@ -85,14 +85,6 @@ func NewCollector(interval sim.Cycles) *Collector {
 	return &Collector{interval: interval, nextAt: interval}
 }
 
-// Interval returns the sampling interval (0 = series disabled).
-func (c *Collector) Interval() sim.Cycles {
-	if c == nil {
-		return 0
-	}
-	return c.interval
-}
-
 // Watch registers a named probe. All probes must be registered before
 // the first Tick; the registration order fixes the CSV column order.
 func (c *Collector) Watch(name string, kind ProbeKind, fn func() float64) {
@@ -121,14 +113,6 @@ func (c *Collector) AttachChromeTrace(ct *ChromeTrace) {
 		return
 	}
 	c.ct = ct
-}
-
-// ChromeTrace returns the attached trace builder (possibly nil).
-func (c *Collector) ChromeTrace() *ChromeTrace {
-	if c == nil {
-		return nil
-	}
-	return c.ct
 }
 
 // Tick advances the sampler to the current simulated cycle, emitting one

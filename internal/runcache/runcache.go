@@ -21,11 +21,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
-	"suvtm/internal/sim"
-	"suvtm/internal/stats"
+	"suvtm/internal/htm"
 )
 
 // Version is the cache schema/fingerprint version. Bump it whenever the
@@ -43,14 +43,13 @@ type Key [sha256.Size]byte
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
 // Entry is the cached outcome of one pure run: everything a campaign
-// consumer reads from a successful, invariant-clean simulation.
+// consumer reads from a successful, invariant-clean simulation. The
+// embedded Result encodes inline: its fields' JSON keys sit next to
+// pool_pages and redirect_entries in one flat object.
 type Entry struct {
-	Cycles     sim.Cycles        `json:"cycles"`
-	Breakdown  stats.Breakdown   `json:"breakdown"`
-	PerCore    []stats.Breakdown `json:"per_core"`
-	Counters   stats.Counters    `json:"counters"`
-	PoolPages  uint64            `json:"pool_pages"`
-	RedirectEn int               `json:"redirect_entries"`
+	htm.Result
+	PoolPages  uint64 `json:"pool_pages"`
+	RedirectEn int    `json:"redirect_entries"`
 }
 
 // Equal reports whether two entries are bit-identical — the comparison
@@ -60,17 +59,9 @@ func (e *Entry) Equal(o *Entry) bool {
 	if e == nil || o == nil {
 		return e == o
 	}
-	if e.Cycles != o.Cycles || e.Breakdown != o.Breakdown ||
-		e.Counters != o.Counters || e.PoolPages != o.PoolPages ||
-		e.RedirectEn != o.RedirectEn || len(e.PerCore) != len(o.PerCore) {
-		return false
-	}
-	for i := range e.PerCore {
-		if e.PerCore[i] != o.PerCore[i] {
-			return false
-		}
-	}
-	return true
+	return e.Cycles == o.Cycles && e.Breakdown == o.Breakdown &&
+		e.Counters == o.Counters && e.PoolPages == o.PoolPages &&
+		e.RedirectEn == o.RedirectEn && slices.Equal(e.PerCore, o.PerCore)
 }
 
 // Stats counts the cache's activity. All fields are cumulative.
@@ -87,17 +78,29 @@ type Stats struct {
 
 // Cache is a two-tier content-addressed store: an always-on in-process
 // map and an optional on-disk directory (SetDir). Safe for concurrent
-// use. Entries handed out by Get are shared and must be treated as
-// immutable.
+// use. Entries handed out by Get and Do are shared and must be treated
+// as immutable.
 type Cache struct {
-	mu    sync.Mutex
-	mem   map[Key]*Entry
-	dir   string // versioned subdirectory; "" = memory tier only
-	stats Stats
+	mu      sync.Mutex
+	mem     map[Key]*Entry
+	flights map[Key]chan struct{} // Do misses in flight; closed once the run has stored what it will
+	dir     string                // versioned subdirectory; "" = memory tier only
+	stats   Stats
 }
 
 // New returns an empty cache with no disk tier.
-func New() *Cache { return &Cache{mem: make(map[Key]*Entry)} }
+func New() *Cache {
+	return &Cache{mem: make(map[Key]*Entry), flights: make(map[Key]chan struct{})}
+}
+
+// Reset drops the memory tier and zeroes the counters, keeping the disk
+// tier attached. Call it between batches, not while Do is in flight.
+func (c *Cache) Reset() {
+	c.mu.Lock()
+	c.mem = make(map[Key]*Entry)
+	c.stats = Stats{}
+	c.mu.Unlock()
+}
 
 // SetDir attaches (or, with "", detaches) the on-disk tier rooted at
 // dir. Entries live under dir/v<Version>/, so a fingerprint-version bump
@@ -163,19 +166,52 @@ func (c *Cache) Get(k Key) (*Entry, bool) {
 	return nil, false
 }
 
-// Coalesced serves k to a caller whose Get missed while a concurrent
-// run of the same key was in flight. When that run has stored its entry
-// in the memory tier, the caller is served it and its earlier miss is
-// recounted as a hit.
-func (c *Cache) Coalesced(k Key) (*Entry, bool) {
+// Do returns k's entry and whether it was served from the cache. A hit
+// is served without calling run. On a miss, Do calls run and Puts the
+// entry it returns unless that is nil (a run that must not be cached).
+// Concurrent misses on one key call run once: the others wait for it
+// and are then served its entry, each counted as a hit rather than a
+// miss. When that run stores nothing, each waiting caller calls run
+// itself.
+func (c *Cache) Do(k Key, run func() *Entry) (*Entry, bool) {
+	if e, ok := c.Get(k); ok {
+		return e, true
+	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	f, follow := c.flights[k]
+	if !follow {
+		f = make(chan struct{})
+		c.flights[k] = f
+	}
+	c.mu.Unlock()
+	if follow {
+		<-f
+	} else {
+		defer func() {
+			c.mu.Lock()
+			delete(c.flights, k)
+			c.mu.Unlock()
+			close(f)
+		}()
+	}
+	// For a leader, this catches a flight that landed between its miss
+	// and its join.
+	c.mu.Lock()
 	e, ok := c.mem[k]
 	if ok {
 		c.stats.Misses--
 		c.stats.Hits++
 	}
-	return e, ok
+	c.mu.Unlock()
+	if ok {
+		return e, true
+	}
+	if e = run(); e != nil {
+		// A disk-write failure degrades the cache, not the run: the
+		// entry still serves from memory, so the error is dropped.
+		_ = c.Put(k, e)
+	}
+	return e, false
 }
 
 // Peek reports whether k is resident in either tier without counting a

@@ -70,7 +70,8 @@ func Run(spec Spec) (*Outcome, error) { return experiments.Run(spec) }
 // fleet options: per-worker machine arenas, the content-addressed run
 // cache for pure specs, and longest-expected-first dispatch. The first
 // simulation error stops further dispatch; already-computed outcomes are
-// returned alongside the error.
+// returned alongside the error. Pure specs' outcomes share a read-only
+// Result with the cache.
 func RunMany(specs []Spec) ([]*Outcome, error) { return experiments.RunMany(specs) }
 
 // Fleet-throughput layer: batches share per-worker machine arenas, pure
@@ -90,7 +91,8 @@ type (
 	SchemeProgress = experiments.SchemeProgress
 )
 
-// RunManyWith is RunMany with explicit batch options.
+// RunManyWith is RunMany with explicit batch options. Outcomes of pure
+// specs share their Result with the run cache (see RunCached).
 func RunManyWith(specs []Spec, o BatchOptions) ([]*Outcome, error) {
 	return experiments.RunManyWith(specs, o)
 }
@@ -98,7 +100,8 @@ func RunManyWith(specs []Spec, o BatchOptions) ([]*Outcome, error) {
 // RunCached executes one spec through the run cache: a repeated pure
 // spec is served from memory (or the on-disk tier) instead of being
 // re-simulated. Specs requesting metrics, traces or fault injection
-// bypass the cache.
+// bypass the cache. A cache-served outcome's Result is shared with the
+// cache and every other outcome of that spec: treat it as read-only.
 func RunCached(spec Spec) (*Outcome, error) { return experiments.RunCached(spec) }
 
 // SetRunCacheDir attaches a persistent on-disk tier (entries live under
